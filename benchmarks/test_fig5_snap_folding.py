@@ -61,7 +61,7 @@ def _run():
     t0 = app.calibration.ddr_time * app.init_fraction
     iter_span = (app.calibration.ddr_time - t0) / app.n_iterations
     timeline = fold_trace(
-        profiling.trace,
+        profiling.trace.to_tracefile(),
         n_bins=80,
         t_start=t0,
         t_end=t0 + 4 * iter_span,

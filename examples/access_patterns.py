@@ -23,7 +23,7 @@ def main() -> None:
     name = sys.argv[1] if len(sys.argv) > 1 else "gtc-p"
     app = get_app(name)
     fw = HybridMemoryFramework(app)
-    trace = fw.profile().trace
+    trace = fw.profile().trace.to_tracefile()
 
     verdicts = classify_access_patterns(trace)
     table = AsciiTable(

@@ -33,7 +33,7 @@ import numpy as np
 from repro.errors import WorkloadError
 from repro.runtime.process import SimProcess
 from repro.runtime.symbols import FunctionSymbol, ModuleImage
-from repro.trace.tracefile import TraceFile
+from repro.trace.columnar import ColumnarTrace
 from repro.trace.tracer import Tracer, TracerConfig
 from repro.units import CACHE_LINE, GIB, MIB
 
@@ -236,21 +236,17 @@ class GroundTruth:
 class ProfilingRun:
     """Output of the instrumented (step 1) run of one rank.
 
-    ``trace`` is either the row-oriented :class:`TraceFile` the tracer
-    emits or an already-columnarised
-    :class:`~repro.trace.columnar.ColumnarTrace` (the shared trace
-    plane publishes the latter); every downstream consumer of the
-    cell path accepts both. ``tracer``/``process`` are present only
-    when the run came from an in-process instrumented execution — a
-    run reconstructed from a shared plane has neither, since raw
-    tracer/process state is process-local and never crosses the
-    plane.
+    ``trace`` is always columnar: the tracer builds it once, samples
+    straight from the PMU model's NumPy columns, and every consumer —
+    framework, online daemon, cluster simulator, sweep workers, CLI —
+    reads those columns. Row-only analyses take
+    ``trace.to_tracefile()`` where they need one.
     """
 
-    trace: "TraceFile | ColumnarTrace"
+    trace: ColumnarTrace
     ground_truth: GroundTruth
-    tracer: Tracer | None = None
-    process: SimProcess | None = None
+    tracer: Tracer
+    process: SimProcess
     #: site name -> ObjectSpec for convenience.
     sites: dict[str, ObjectSpec] = field(default_factory=dict)
 
@@ -852,7 +848,7 @@ class SimApplication:
             np.concatenate(all_times) if all_times else np.zeros(0, float)
         )
         return ProfilingRun(
-            trace=tracer.trace,
+            trace=tracer.columnar_trace(),
             ground_truth=truth,
             tracer=tracer,
             process=process,

@@ -273,38 +273,46 @@ def _bench_hierarchy(
 
 
 def _sample_reference(
-    period: int, addresses: np.ndarray
-) -> list[int]:
+    period: int, addresses: np.ndarray, times: np.ndarray
+) -> tuple[list[int], list[float]]:
     """Per-event countdown loop — the sampler's scalar oracle."""
     countdown = period
-    picks = []
-    for i in range(addresses.size):
+    picked_addrs: list[int] = []
+    picked_times: list[float] = []
+    for address, time_ in zip(addresses.tolist(), times.tolist()):
         countdown -= 1
         if countdown == 0:
-            picks.append(i)
+            picked_addrs.append(address)
+            picked_times.append(time_)
             countdown = period
-    return picks
+    return picked_addrs, picked_times
 
 
 def _bench_pebs(
     report: BenchReport, scenario: str, n: int, seed: int, repeats: int
 ) -> None:
-    period = 37589 if n >= 200_000 else 97
+    """The tracer's sampling path: misses in, picked sample columns
+    out (``sample_chunk_arrays``), against the per-event countdown.
+
+    The period is the one the Table I app models trace with (cgpop,
+    gtc-p, phaseshift), so the gather moves as many samples per miss
+    as the real pipeline does.
+    """
+    period = 7
     addrs = make_stream(scenario, n, seed)
     times = np.arange(n, dtype=float)
-    ref_seconds, ref_picks = _time(
-        lambda: _sample_reference(period, addrs), 1
+    ref_seconds, (ref_addrs, ref_times) = _time(
+        lambda: _sample_reference(period, addrs, times), 1
     )
-    vec_seconds, vec_picks = _time(
-        lambda: PebsSampler(period=period).sample_positions(n), repeats
+    vec_seconds, (vec_addrs, vec_times, _) = _time(
+        lambda: PebsSampler(period=period).sample_chunk_arrays(addrs, times),
+        repeats,
     )
-    if list(vec_picks) != ref_picks:
+    if vec_addrs.tolist() != ref_addrs or vec_times.tolist() != ref_times:
         raise ReproError(
-            f"sampler positions diverged from the countdown oracle on "
+            f"sampled columns diverged from the countdown oracle on "
             f"{scenario}"
         )
-    # Exercise the full array path once so attribution cost is real.
-    PebsSampler(period=period).sample_chunk_arrays(addrs, times)
     report.record(
         BenchRecord(
             stage="pebs_sampler",
@@ -664,151 +672,72 @@ def _bench_cluster_schedule(
 
 
 class _SweepBenchApp(CGPOP):
-    """Profile-heavy CGPOP variant for the sweep-throughput stage.
+    """Profile-heavy CGPOP variant for the profile and sweep stages.
 
-    The shared trace plane pays off exactly when the per-worker
-    profiling run dominates a cell's cost, so the bench workload
-    inflates the miss stream (scaled per mode via the instance
-    attribute) while keeping the grid small. Module-level class: the
-    pool pickles the instance into its workers.
+    The bench workload inflates the miss stream (scaled per mode via
+    the instance attribute) so profiling dominates, while keeping the
+    grid small. Module-level class: the pool pickles the instance into
+    its workers.
     """
 
     name = "benchsweep"
 
 
-def _private_rss_kib() -> int | None:
-    """This process's private RSS in KiB, or None off-Linux."""
-    total = 0
-    try:
-        with open("/proc/self/smaps_rollup") as fh:
-            for line in fh:
-                if line.startswith(
-                    ("Private_Clean:", "Private_Dirty:", "Private_Hugetlb:")
-                ):
-                    total += int(line.split()[1])
-    except OSError:
-        return None
-    return total
-
-
-def _sweep_rss_probe(queue, app, machine, cell, seed, plane) -> None:
-    """Forked probe: run one cell, report private RSS + any error."""
-    from repro.parallel.sweep import _execute_cell
-
-    payload = _execute_cell(
-        app, machine, cell, seed, {}, None, 1, plane=plane
-    )
-    queue.put((_private_rss_kib(), payload[1]))
-
-
-def _bench_sweep_rss(
-    report: BenchReport, app, machine, grid, seed: int
+def _bench_profile_analyze(
+    report: BenchReport, stream_misses: int, seed: int, repeats: int
 ) -> None:
-    """Per-worker private RSS, with and without the shared plane.
+    """Profile + analyze one profile-heavy app, against the per-event
+    path.
 
-    Four forked probes (matching the jobs=4 throughput stage) each
-    execute one grid cell and read ``/proc/self/smaps_rollup``; fork
-    keeps the interpreter's baseline copy-on-write-shared, so the
-    measured private bytes are dominated by what the cell itself
-    materialised — the whole row-mode trace privately, or a zero-copy
-    view of the plane. Skipped silently where smaps_rollup or the
-    fork start method is unavailable (non-Linux).
+    The timed path is what the framework runs: the tracer keeps
+    samples as columns and the vector kernel attributes them. The
+    reference materialises one event object per sample and replays
+    them through the per-event oracle; both must yield the same
+    ProfileSet.
     """
-    import multiprocessing
+    from repro.analysis.paramedir import Paramedir
 
-    from repro.pipeline.experiment import enumerate_cells
-    from repro.pipeline.framework import HybridMemoryFramework
-    from repro.trace.shared import SharedTracePlane
-    from repro.trace.tracer import TracerConfig
-
-    if _private_rss_kib() is None:
-        return
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:
-        return
-    cells = [c for c in enumerate_cells(app, grid) if c.kind == "grid"][:4]
-    framework = HybridMemoryFramework(
-        app,
-        machine,
-        tracer_config=TracerConfig(
-            sampling_period=app.sampling_period, columnar_samples=True
+    app = _SweepBenchApp()
+    app.stream_misses = stream_misses
+    ref_seconds, ref_profiles = _time(
+        lambda: Paramedir(engine="oracle").analyze(
+            app.run_profiling(seed=seed).trace
         ),
-        seed=seed,
+        1,
     )
-    profiling = framework.profile()
-    columnar = profiling.tracer.columnar_trace()
-    means: dict[str, float] = {}
-    with SharedTracePlane() as plane:
-        handle = plane.publish(
-            "bench-sweep-rss", columnar, profiling.ground_truth
-        )
-        for scenario, plane_handle in (("private", None), ("plane", handle)):
-            queue = ctx.SimpleQueue()
-            procs = [
-                ctx.Process(
-                    target=_sweep_rss_probe,
-                    args=(queue, app, machine, cell, seed, plane_handle),
-                )
-                for cell in cells
-            ]
-            for proc in procs:
-                proc.start()
-            results = [queue.get() for _ in procs]
-            for proc in procs:
-                proc.join()
-            errors = [error for _, error in results if error]
-            if errors:
-                raise ReproError(
-                    f"sweep RSS probe ({scenario}) failed a cell:\n"
-                    + errors[0]
-                )
-            kibs = [kib for kib, _ in results if kib is not None]
-            if not kibs:
-                return
-            means[scenario] = sum(kibs) / len(kibs)
-    if means["plane"] >= 0.7 * means["private"]:
+    vec_seconds, vec_profiles = _time(
+        lambda: Paramedir().analyze(app.run_profiling(seed=seed).trace),
+        repeats,
+    )
+    if vec_profiles != ref_profiles:
         raise ReproError(
-            f"shared plane did not keep worker RSS flat: "
-            f"{means['plane']:.0f} KiB private with the plane vs "
-            f"{means['private']:.0f} KiB without"
+            "columnar profile+analyze diverged from the per-event oracle"
         )
-    for scenario in ("private", "plane"):
-        mean_kib = means[scenario]
-        report.record(
-            BenchRecord(
-                stage="sweep_worker_rss",
-                scenario=scenario,
-                mode=report.mode,
-                n=len(cells),
-                # Encoded so the regression gate's throughput floor
-                # catches RSS *growth*: throughput ~ 1/RSS.
-                seconds=mean_kib / 1e6,
-                throughput=1e6 / mean_kib,
-                reference_seconds=(
-                    means["private"] / 1e6 if scenario == "plane" else None
-                ),
-                speedup=(
-                    means["private"] / mean_kib
-                    if scenario == "plane"
-                    else None
-                ),
-            )
+    report.record(
+        BenchRecord(
+            stage="profile_analyze",
+            scenario=app.name,
+            mode=report.mode,
+            n=stream_misses,
+            seconds=vec_seconds,
+            throughput=stream_misses / vec_seconds,
+            reference_seconds=ref_seconds,
+            speedup=ref_seconds / vec_seconds,
         )
+    )
 
 
 def _bench_sweep_throughput(
     report: BenchReport, stream_misses: int, seed: int
 ) -> None:
-    """Pool sweep at jobs=4, without vs with the shared trace plane.
+    """The profile-bound sweep serially and on a four-worker pool.
 
-    The workload is profile-dominated (inflated miss stream, small
-    grid), so the baseline pays one row-mode profiling run per worker
-    while the plane path profiles once in the parent via the columnar
-    tracer and workers attach zero-copy. Rows must be identical across
-    the two paths — the stage aborts on divergence, like every other
-    bench oracle. Wall time of a 4-worker pool is too expensive to
-    repeat, so each path is timed once.
+    Both runs profile privately (one columnar profiling run per
+    process that needs the app); rows must be identical, like every
+    other bench oracle. Wall time of a 4-worker pool is too expensive
+    to repeat, so each run is timed once. No speedup is asserted: with
+    one app, every pool worker re-profiles, so the pool mostly buys
+    overlap of replay work.
     """
     from repro.parallel.sweep import run_sweep
     from repro.pipeline.experiment import ExperimentGrid, enumerate_cells
@@ -821,63 +750,40 @@ def _bench_sweep_throughput(
     )
     n_cells = len(enumerate_cells(app, grid))
 
-    def sweep(shared_plane: bool):
+    def sweep(jobs: int):
         result = run_sweep(
-            [app],
-            machine=machine,
-            grid=grid,
-            jobs=4,
-            seed=seed,
-            shared_plane=shared_plane,
+            [app], machine=machine, grid=grid, jobs=jobs, seed=seed
         )
         if result.failures or result.skipped:
-            raise ReproError(
-                f"sweep bench cells failed (shared_plane={shared_plane})"
-            )
-        return sorted(
-            (o.cell.key, o.row) for o in result.outcomes
-        ), result.metrics
+            raise ReproError(f"sweep bench cells failed (jobs={jobs})")
+        return sorted((o.cell.key, o.row) for o in result.outcomes)
 
-    base_seconds, (base_rows, _) = _time(lambda: sweep(False), 1)
-    plane_seconds, (plane_rows, plane_metrics) = _time(
-        lambda: sweep(True), 1
+    serial_seconds, serial_rows = _time(lambda: sweep(1), 1)
+    pool_seconds, pool_rows = _time(lambda: sweep(4), 1)
+    if pool_rows != serial_rows:
+        raise ReproError("pool sweep rows diverged from the serial sweep")
+    report.record(
+        BenchRecord(
+            stage="sweep_throughput",
+            scenario="serial-jobs1",
+            mode=report.mode,
+            n=n_cells,
+            seconds=serial_seconds,
+            throughput=n_cells / serial_seconds,
+        )
     )
-    if base_rows != plane_rows:
-        raise ReproError(
-            "shared-plane sweep rows diverged from the private-profile "
-            "pool sweep"
-        )
-    if not plane_metrics.counters.get("plane_publish"):
-        raise ReproError("shared-plane sweep never published a plane")
-    speedup = base_seconds / plane_seconds
-    if report.mode == "full" and speedup < 3.0:
-        raise ReproError(
-            f"shared plane sped the profile-bound sweep up only "
-            f"{speedup:.2f}x (target >= 3x)"
-        )
     report.record(
         BenchRecord(
             stage="sweep_throughput",
             scenario="pool-jobs4",
             mode=report.mode,
             n=n_cells,
-            seconds=base_seconds,
-            throughput=n_cells / base_seconds,
+            seconds=pool_seconds,
+            throughput=n_cells / pool_seconds,
+            reference_seconds=serial_seconds,
+            speedup=serial_seconds / pool_seconds,
         )
     )
-    report.record(
-        BenchRecord(
-            stage="sweep_throughput",
-            scenario="plane-jobs4",
-            mode=report.mode,
-            n=n_cells,
-            seconds=plane_seconds,
-            throughput=n_cells / plane_seconds,
-            reference_seconds=base_seconds,
-            speedup=speedup,
-        )
-    )
-    _bench_sweep_rss(report, app, machine, grid, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -935,6 +841,7 @@ def run_bench(
         report, n_arrivals, seed, repeats=1 if quick else min(repeats, 3)
     )
     n_misses = 500_000 if quick else 2_000_000
+    _bench_profile_analyze(report, n_misses, seed, repeats)
     _bench_sweep_throughput(report, n_misses, seed)
     return report
 

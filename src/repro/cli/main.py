@@ -86,7 +86,8 @@ def profile_main(argv: list[str] | None = None) -> int:
     )
     _app_argument(parser)
     parser.add_argument("-o", "--output", type=Path, required=True,
-                        help="trace file to write (JSON lines)")
+                        help="trace file to write (JSON lines unless "
+                        "--columnar)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--period", type=int, default=None,
                         help="PEBS sampling period (default: the "
@@ -95,26 +96,24 @@ def profile_main(argv: list[str] | None = None) -> int:
                         help="record per-sample access latency "
                         "(Xeon-style PMU)")
     parser.add_argument("--columnar", action="store_true",
-                        help="emit the binary columnar trace (.npz): "
-                        "samples stay NumPy columns end to end and the "
-                        "analysis stage skips JSONL parsing entirely")
+                        help="write the binary columnar container "
+                        "(.npz) instead of JSON lines; the trace is "
+                        "the same, only the export format differs")
 
     def run(args) -> None:
         app = get_app(args.app)
         config = TracerConfig(
             sampling_period=args.period or app.sampling_period,
             record_latency=args.latency,
-            columnar_samples=args.columnar,
         )
-        profiling = app.run_profiling(seed=args.seed, tracer_config=config)
+        trace = app.run_profiling(
+            seed=args.seed, tracer_config=config
+        ).trace
         if args.columnar:
-            trace = profiling.tracer.columnar_trace()
             trace.save(args.output)
-            n_allocs, n_samples = trace.n_allocs, trace.n_samples
         else:
-            profiling.trace.save(args.output)
-            n_allocs = len(profiling.trace.alloc_events)
-            n_samples = len(profiling.trace.sample_events)
+            trace.to_tracefile().save(args.output)
+        n_allocs, n_samples = trace.n_allocs, trace.n_samples
         print(
             f"{args.app}: {n_allocs} allocations, "
             f"{n_samples} samples -> {args.output}"
@@ -348,16 +347,6 @@ def experiment_main(argv: list[str] | None = None) -> int:
                         help="open an application's circuit (skip its "
                         "remaining cells) after N deterministic "
                         "failures")
-    parser.add_argument("--shared-plane", action="store_true",
-                        help="with -j>1, profile each application once "
-                        "in the parent and publish the trace to a "
-                        "shared plane; workers attach zero-copy "
-                        "instead of re-profiling")
-    parser.add_argument("--plane-backend", choices=("shm", "mmap"),
-                        default="shm",
-                        help="shared-plane transport: POSIX shared "
-                        "memory segments (default) or mmap-able "
-                        "on-disk .npy directories")
     parser.add_argument("--batch-size", type=int, default=None,
                         metavar="N",
                         help="grid cells per pool submission (default: "
@@ -386,8 +375,6 @@ def experiment_main(argv: list[str] | None = None) -> int:
             cell_deadline=args.cell_deadline,
             requeue_budget=args.requeue_budget,
             circuit_threshold=args.circuit_threshold,
-            shared_plane=args.shared_plane,
-            plane_backend=args.plane_backend,
             batch_size=args.batch_size,
         )
         if sweep.resumed:

@@ -126,18 +126,6 @@ class TraceError(ReproError):
     """A trace file is malformed or events arrive out of order."""
 
 
-class PlaneError(ReproError):
-    """A shared trace plane is missing, torn, or failed verification.
-
-    Raised on the worker's attach path; the sweep executor reacts by
-    falling back to private materialisation (re-profiling in-process),
-    never by failing the cell. Transient-shaped: the plane may exist
-    again on the next attempt (e.g. after a resumed sweep republishes
-    it)."""
-
-    category = CATEGORY_TRANSIENT
-
-
 class AttributionError(ReproError):
     """A sample could not be processed during object attribution."""
 

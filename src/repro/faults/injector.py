@@ -26,7 +26,7 @@ from repro.errors import (
 )
 from repro.faults.plan import FaultPlan
 from repro.runtime.callstack import RawCallStack
-from repro.trace.events import SampleEvent
+from repro.trace.columnar import KIND_SAMPLE, ColumnarTrace
 
 #: Cell fates the scheduler distinguishes.
 FATE_OK = "ok"
@@ -64,48 +64,44 @@ class FaultInjector:
 
     # -- stage 1: PEBS sample loss / corruption ------------------------
 
-    def degrade_trace(self, trace) -> tuple[int, int]:
-        """Drop/corrupt sample events of an in-memory trace.
+    def degrade_trace(
+        self, trace: ColumnarTrace
+    ) -> tuple[ColumnarTrace, int, int]:
+        """Drop/corrupt the samples of an in-memory trace.
 
-        Returns ``(dropped, corrupted)``. Deterministic in the plan
-        seed and the trace's application name + sample index, so the
-        same profile degrades identically wherever it is re-derived.
+        Returns ``(degraded_trace, dropped, corrupted)``; ``trace``
+        itself is left untouched. Every sample's verdict is a
+        sha256 draw keyed on the plan seed, the trace's application
+        name and the sample's index among the samples, so the same
+        profile degrades identically wherever it is re-derived.
         """
         plan = self.plan
         if not plan.degrades_profile:
-            return 0, 0
+            return trace, 0, 0
         scope = zlib.crc32(trace.application.encode())
-        kept = []
+        drop_below = plan.sample_drop_rate
+        corrupt_below = drop_below + plan.sample_corrupt_rate
+        rows = np.flatnonzero(trace.kinds == KIND_SAMPLE)
+        keep = np.ones(trace.n_events, dtype=bool)
+        addresses = trace.addresses.copy()
         dropped = corrupted = 0
-        sample_index = 0
-        for event in trace.events:
-            if not isinstance(event, SampleEvent):
-                kept.append(event)
-                continue
-            u = _unit(plan.seed, "sample", scope, sample_index)
-            sample_index += 1
-            if u < plan.sample_drop_rate:
+        for index, row in enumerate(rows.tolist()):
+            u = _unit(plan.seed, "sample", scope, index)
+            if u < drop_below:
+                keep[row] = False
                 dropped += 1
-                continue
-            if u < plan.sample_drop_rate + plan.sample_corrupt_rate:
+            elif u < corrupt_below:
                 # Perturb the address out of every mapped region; the
                 # attribution stage must file it as unresolved.
                 garbage = int(
-                    _unit(plan.seed, "corrupt", scope, sample_index) * 2**46
+                    _unit(plan.seed, "corrupt", scope, index + 1) * 2**46
                 )
-                kept.append(
-                    SampleEvent(
-                        time=event.time,
-                        rank=event.rank,
-                        address=(event.address ^ 0x5A5A_5A5A_5A5A) + garbage,
-                        latency_cycles=event.latency_cycles,
-                    )
-                )
+                addresses[row] = (
+                    int(addresses[row]) ^ 0x5A5A_5A5A_5A5A
+                ) + garbage
                 corrupted += 1
-                continue
-            kept.append(event)
-        trace.events = kept
-        return dropped, corrupted
+        degraded = trace.with_events(addresses=addresses).select(keep)
+        return degraded, dropped, corrupted
 
     # -- stage 4: ASLR drift -------------------------------------------
 

@@ -60,7 +60,6 @@ REASON_STALLED = "worker_stalled"
 
 def _supervised_worker_main(
     conn, machine, seed, plan, heartbeat_interval: float,
-    plane_handles: dict | None = None,
 ) -> None:
     """Worker loop: recv cell, ack, execute, send result, repeat.
 
@@ -68,11 +67,6 @@ def _supervised_worker_main(
     the parent sees liveness even while a cell computes; the beats
     stop only when the process itself stops scheduling threads — which
     is exactly the failure the stall detector exists for.
-
-    ``plane_handles`` (application name -> plane handle) lets each
-    cell reconstruct its framework from the host's shared trace plane
-    instead of re-profiling; apps without a handle — or with a torn
-    plane — materialise privately, exactly like the pool path.
     """
     # Imported here, not at module top: repro.parallel.sweep imports
     # this module, and the worker needs sweep's _execute_cell.
@@ -81,7 +75,6 @@ def _supervised_worker_main(
 
     start_orphan_watchdog()
     frameworks: dict = {}
-    plane_handles = plane_handles or {}
     send_lock = threading.Lock()
     stop_beating = threading.Event()
 
@@ -112,7 +105,6 @@ def _supervised_worker_main(
                 frameworks=frameworks,
                 plan=plan,
                 attempt=attempt,
-                plane=plane_handles.get(app.name),
             )
             with send_lock:
                 conn.send(("done", task_id, row, error, category, metrics))
@@ -199,7 +191,6 @@ class WorkerSupervisor:
         requeue_budget: int = 2,
         heartbeat_interval: float = 0.25,
         heartbeat_timeout: float | None = None,
-        plane_handles: dict | None = None,
     ) -> None:
         if jobs < 1:
             raise ConfigError("supervisor needs at least one worker")
@@ -211,7 +202,6 @@ class WorkerSupervisor:
         self.machine = machine
         self.seed = seed
         self.plan = plan
-        self.plane_handles = plane_handles
         self.cell_deadline = cell_deadline
         self.requeue_budget = requeue_budget
         self.heartbeat_interval = heartbeat_interval
@@ -266,7 +256,6 @@ class WorkerSupervisor:
                 self.seed,
                 self.plan,
                 self.heartbeat_interval,
-                self.plane_handles,
             ),
             daemon=True,
         )

@@ -29,13 +29,6 @@ profiling run) per application, while the parent
   is spent, remaining cells are recorded as skipped (fail-fast);
 * merges every per-cell :class:`StageMetrics` record into one
   sweep-level roll-up;
-* with ``shared_plane=True`` (and ``jobs > 1``), profiles each
-  application once in the parent and publishes the columnar trace +
-  ground truth on a :class:`~repro.trace.shared.SharedTracePlane`;
-  workers attach zero-copy read-only views and reconstruct their
-  frameworks from the shared profile instead of re-profiling. A
-  worker that finds the plane torn or missing falls back to private
-  materialisation (counted, never a failed cell);
 * batches several same-application cells per pool submission
   (``batch_size``, auto-sized from grid and jobs) so IPC and
   result-collection overhead amortise — journal intents, cache
@@ -46,8 +39,7 @@ serial and parallel paths share every line of cell-execution code.
 A :class:`~repro.faults.plan.FaultPlan` attached to the config is
 reconstructed identically inside every worker (it travels by value),
 so a faulted sweep is bit-reproducible across serial and parallel
-execution — and across the shared-plane path, because the parent
-publishes the trace *after* applying the plan's profile degradation.
+execution.
 """
 
 from __future__ import annotations
@@ -67,7 +59,6 @@ from repro.errors import (
     CATEGORY_TRANSIENT,
     ConfigError,
     OutOfMemoryError,
-    PlaneError,
     classify_error,
 )
 from repro.faults.injector import FATE_HANG, FATE_KILL, FaultInjector
@@ -79,7 +70,6 @@ from repro.parallel.journal import (
 )
 from repro.parallel.result_cache import (
     ResultCache,
-    app_fingerprint,
     cell_cache_key,
     content_hash,
 )
@@ -100,16 +90,7 @@ from repro.pipeline.experiment import (
 from repro.pipeline.framework import HybridMemoryFramework
 from repro.pipeline.metrics import StageMetrics
 from repro.pipeline.results import ExperimentResult, ResultRow
-from repro.trace.columnar import ColumnarTrace
 from repro.parallel.watchdog import start_orphan_watchdog
-from repro.trace.shared import (
-    BACKENDS,
-    PlaneHandle,
-    SharedProfile,
-    SharedTracePlane,
-    attach_plane,
-)
-from repro.trace.tracer import TracerConfig
 
 #: Error text of cells the error budget prevented from running.
 SKIPPED_ERROR = "skipped: error budget exhausted"
@@ -163,14 +144,6 @@ class SweepConfig:
     #: accumulate before its circuit opens and its remaining cells are
     #: refused. None: breaker disabled.
     circuit_threshold: int | None = None
-    #: Publish each application's profiling products once per host on
-    #: a shared trace plane; workers (``jobs > 1`` only) reconstruct
-    #: their frameworks from zero-copy views instead of re-profiling.
-    shared_plane: bool = False
-    #: Plane transport: ``"shm"`` (POSIX shared memory) or ``"mmap"``
-    #: (uncompressed on-disk columnar container; the page cache shares
-    #: one physical copy).
-    plane_backend: str = "shm"
     #: Cells per pool submission. ``None`` auto-sizes from grid and
     #: jobs — and pins the batch to 1 whenever ``timeout_seconds`` is
     #: set, so the per-attempt timeout keeps its per-cell meaning.
@@ -195,11 +168,6 @@ class SweepConfig:
             raise ConfigError("circuit_threshold must be >= 1")
         if self.resume and self.journal_dir is None:
             raise ConfigError("resume requires a journal_dir")
-        if self.plane_backend not in BACKENDS:
-            raise ConfigError(
-                f"unknown plane backend {self.plane_backend!r}; "
-                f"have {BACKENDS}"
-            )
         if self.batch_size is not None and self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
 
@@ -274,7 +242,7 @@ class SweepResult:
 # ---------------------------------------------------------------------------
 
 #: Per-worker-process framework memo: (app name, machine name, seed,
-#: fault plan, plane key) -> HybridMemoryFramework. Raw addresses and
+#: fault plan) -> HybridMemoryFramework. Raw addresses and
 #: profiling runs are only meaningful within one process (ASLR), so
 #: the memo — like the paper's per-process decision cache — never
 #: crosses the pool. The plan is part of the key because it shapes the
@@ -285,12 +253,6 @@ _WORKER_FRAMEWORKS: dict[tuple, HybridMemoryFramework] = {}
 #: one is evicted. Long sweeps over many apps × plans would otherwise
 #: pin every profiling run they ever materialised.
 _WORKER_MEMO_CAP = 4
-
-#: Per-worker-process cache of attached planes: plane key ->
-#: SharedProfile. Attachments are views, not copies, so this stays
-#: tiny and is deliberately *not* evicted with the framework memo —
-#: a re-created framework reattaches for free.
-_WORKER_PLANES: dict[str, SharedProfile] = {}
 
 
 def _memo_get(memo: dict, key: tuple) -> HybridMemoryFramework | None:
@@ -323,7 +285,6 @@ def _execute_cell(
     frameworks: dict | None = None,
     plan: FaultPlan | None = None,
     attempt: int = 1,
-    plane: PlaneHandle | None = None,
 ) -> tuple[ResultRow | None, str | None, str | None, dict]:
     """Run one cell; never raises (the pool must stay healthy).
 
@@ -334,46 +295,17 @@ def _execute_cell(
     sweep total. ``frameworks`` is the framework memo to use; pool
     workers default to the process-global one, the in-process serial
     path passes a per-sweep dict.
-
-    With a ``plane`` handle, a missing framework is reconstructed
-    around the host's shared trace instead of re-profiling
-    (``plane_attach`` counted); a torn or vanished plane degrades to
-    private materialisation (``plane_fallback`` counted) — never to a
-    failed cell.
     """
     memo = _WORKER_FRAMEWORKS if frameworks is None else frameworks
-    key = (
-        app.name,
-        machine.name,
-        seed,
-        plan,
-        plane.key if plane is not None else None,
-    )
+    key = (app.name, machine.name, seed, plan)
     framework = _memo_get(memo, key)
-    plane_counter = None
     evictions = 0
     if framework is None:
-        if plane is not None:
-            shared = _WORKER_PLANES.get(plane.key)
-            if shared is None:
-                try:
-                    shared = attach_plane(plane)
-                    _WORKER_PLANES[plane.key] = shared
-                except PlaneError:
-                    plane_counter = "plane_fallback"
-            if shared is not None:
-                framework = HybridMemoryFramework.from_shared_profile(
-                    app, machine, shared, seed=seed, fault_plan=plan
-                )
-                plane_counter = "plane_attach"
-        if framework is None:
-            framework = HybridMemoryFramework(
-                app, machine, seed=seed, fault_plan=plan
-            )
+        framework = HybridMemoryFramework(
+            app, machine, seed=seed, fault_plan=plan
+        )
         evictions = _memo_put(memo, key, framework)
     framework.metrics = StageMetrics()
-    if plane_counter is not None:
-        framework.metrics.bump(plane_counter)
     if evictions:
         framework.metrics.bump("framework_evicted", evictions)
     try:
@@ -417,7 +349,6 @@ def _execute_batch(
     seed: int,
     plan: FaultPlan | None = None,
     attempts: list[int] | None = None,
-    plane: PlaneHandle | None = None,
 ) -> list[tuple[ResultRow | None, str | None, str | None, dict]]:
     """Run a batch of same-application cells in one worker call.
 
@@ -430,9 +361,7 @@ def _execute_batch(
     if attempts is None:
         attempts = [1] * len(cells)
     return [
-        _execute_cell(
-            app, machine, cell, seed, None, plan, attempt, plane=plane
-        )
+        _execute_cell(app, machine, cell, seed, None, plan, attempt)
         for cell, attempt in zip(cells, attempts)
     ]
 
@@ -551,24 +480,10 @@ class SweepExecutor:
             if pending:
                 if config.jobs == 1:
                     self._run_serial(pending, result)
+                elif config.cell_deadline is not None:
+                    self._run_supervised(pending, result)
                 else:
-                    plane: SharedTracePlane | None = None
-                    planes: dict[str, PlaneHandle] = {}
-                    if config.shared_plane:
-                        plane = SharedTracePlane(
-                            backend=config.plane_backend
-                        )
-                        planes = self._publish_planes(
-                            plane, pending, result
-                        )
-                    try:
-                        if config.cell_deadline is not None:
-                            self._run_supervised(pending, result, planes)
-                        else:
-                            self._run_pool(pending, result, planes)
-                    finally:
-                        if plane is not None:
-                            plane.close()
+                    self._run_pool(pending, result)
 
             result.outcomes.sort(key=lambda o: o.order)
             for outcome in result.outcomes:
@@ -707,103 +622,6 @@ class SweepExecutor:
             counter="circuit_open",
         )
 
-    # -- shared trace plane --------------------------------------------
-
-    def _plane_key(self, app: SimApplication) -> str:
-        """Content-derived identity of one application's plane — the
-        same inputs that pin a cell's cache key, minus the cell."""
-        config = self.config
-        return content_hash(
-            {
-                "kind": "trace-plane",
-                "app": app_fingerprint(app),
-                "machine": self.machine.name,
-                "seed": config.seed,
-                "fault_plan": (
-                    config.fault_plan.to_dict()
-                    if config.fault_plan is not None
-                    else None
-                ),
-            }
-        )
-
-    def _plane_profile(
-        self, app: SimApplication
-    ) -> tuple[HybridMemoryFramework, ColumnarTrace]:
-        """Profile ``app`` once, parent-side, and columnarise.
-
-        Clean runs use the tracer's ``columnar_samples`` fast path —
-        samples go from the PMU model straight into NumPy columns, so
-        publishing costs a fraction of a worker's row-mode profile
-        (attribution equality across the two modes is pinned by the
-        tracer tests). A profile-degrading fault plan forces the
-        row-mode path, because degradation operates on the row trace;
-        the published trace then matches what every worker would have
-        materialised privately, bit for bit.
-        """
-        config = self.config
-        degrades = (
-            config.fault_plan is not None
-            and config.fault_plan.degrades_profile
-        )
-        tracer_config = (
-            None
-            if degrades
-            else TracerConfig(
-                sampling_period=app.sampling_period, columnar_samples=True
-            )
-        )
-        framework = HybridMemoryFramework(
-            app,
-            self.machine,
-            tracer_config=tracer_config,
-            seed=config.seed,
-            fault_plan=config.fault_plan,
-        )
-        profiling = framework.profile()
-        if not degrades and profiling.tracer is not None:
-            columnar = profiling.tracer.columnar_trace()
-        elif isinstance(profiling.trace, ColumnarTrace):
-            columnar = profiling.trace
-        else:
-            columnar = ColumnarTrace.from_tracefile(profiling.trace)
-        return framework, columnar
-
-    def _publish_planes(
-        self,
-        plane: SharedTracePlane,
-        pending: list[tuple[SimApplication, CellOutcome, str | None]],
-        result: SweepResult,
-    ) -> dict[str, PlaneHandle]:
-        """Profile and export each pending application exactly once.
-
-        Publishing is an optimisation, never a gate: an application
-        whose profile run fails here simply gets no handle — its cells
-        run planeless and fail (or not) under the normal per-cell
-        retry taxonomy, with ``plane_publish_failed`` counted.
-        """
-        handles: dict[str, PlaneHandle] = {}
-        seen: set[str] = set()
-        for app, _, _ in pending:
-            if app.name in seen:
-                continue
-            seen.add(app.name)
-            try:
-                framework, columnar = self._plane_profile(app)
-                handles[app.name] = plane.publish(
-                    self._plane_key(app),
-                    columnar,
-                    framework.profile().ground_truth,
-                )
-            except (KeyboardInterrupt, SystemExit):
-                raise
-            except BaseException:
-                result.metrics.bump("plane_publish_failed")
-                continue
-            result.metrics.merge(framework.metrics)
-            result.metrics.bump("plane_publish")
-        return handles
-
     def _batch_size(self, n_pending: int, jobs: int) -> int:
         """Cells per pool submission.
 
@@ -899,10 +717,8 @@ class SweepExecutor:
         self,
         pending: list[tuple[SimApplication, CellOutcome, str | None]],
         result: SweepResult,
-        planes: dict[str, PlaneHandle] | None = None,
     ) -> None:
         config = self.config
-        planes = planes or {}
         jobs = min(config.jobs, len(pending))
         batch_size = self._batch_size(len(pending), jobs)
         queue = deque(pending)
@@ -911,8 +727,7 @@ class SweepExecutor:
         failures = 0
         # The initializer arms the orphan watchdog in every worker: if
         # this parent is SIGKILL'd mid-sweep, workers self-terminate
-        # instead of idling forever — which is also what lets the
-        # resource tracker unlink a live shared trace plane.
+        # instead of idling forever.
         with ProcessPoolExecutor(
             max_workers=jobs, initializer=start_orphan_watchdog
         ) as pool:
@@ -936,7 +751,6 @@ class SweepExecutor:
                     config.seed,
                     config.fault_plan,
                     [outcome.attempts for outcome, _ in items],
-                    planes.get(app.name),
                 )
                 deadline = (
                     time.monotonic() + config.timeout_seconds * len(items)
@@ -1068,13 +882,11 @@ class SweepExecutor:
         self,
         pending: list[tuple[SimApplication, CellOutcome, str | None]],
         result: SweepResult,
-        planes: dict[str, PlaneHandle] | None = None,
     ) -> None:
         """Run cells under the worker supervisor (``cell_deadline``
         set): hung/dead workers are killed and replaced, their cells
         requeued within the requeue budget. Dispatch stays per-cell —
-        the deadline's kill/requeue unit is one cell — but workers
-        still attach the shared plane when one is published."""
+        the deadline's kill/requeue unit is one cell."""
         config = self.config
         jobs = min(config.jobs, len(pending))
         queue = deque(pending)
@@ -1088,7 +900,6 @@ class SweepExecutor:
             config.fault_plan,
             cell_deadline=config.cell_deadline,
             requeue_budget=config.requeue_budget,
-            plane_handles=planes or None,
         )
 
         def budget_exhausted() -> bool:
@@ -1214,8 +1025,6 @@ def run_sweep(
     cell_deadline: float | None = None,
     requeue_budget: int = 2,
     circuit_threshold: int | None = None,
-    shared_plane: bool = False,
-    plane_backend: str = "shm",
     batch_size: int | None = None,
 ) -> SweepResult:
     """Convenience wrapper: sweep ``apps`` with the given knobs."""
@@ -1235,8 +1044,6 @@ def run_sweep(
             cell_deadline=cell_deadline,
             requeue_budget=requeue_budget,
             circuit_threshold=circuit_threshold,
-            shared_plane=shared_plane,
-            plane_backend=plane_backend,
             batch_size=batch_size,
         ),
     )

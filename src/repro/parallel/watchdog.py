@@ -3,16 +3,11 @@
 A fork-started pool worker blocks reading a call queue whose write end
 it inherited itself, so losing the parent never delivers EOF — the
 orphan would sit there forever, and while it sits it also pins open
-the ``multiprocessing.resource_tracker`` pipe it inherited. The
-tracker only performs its crash cleanup (unlinking shared-memory
-segments such as the sweep's trace plane) once *every* holder of that
-pipe is gone, so orphaned workers turn a SIGKILL'd sweep into a
-/dev/shm leak.
+the ``multiprocessing.resource_tracker`` pipe it inherited, which
+keeps the tracker from running its crash cleanup.
 
 The watchdog is a daemon thread that polls the parent pid and
-hard-exits the worker the moment it is re-parented. Exiting drops the
-worker's inherited pipe ends, which lets the surviving resource
-tracker run its cleanup and unlink the plane.
+hard-exits the worker the moment it is re-parented.
 """
 
 from __future__ import annotations

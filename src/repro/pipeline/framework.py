@@ -83,45 +83,6 @@ class HybridMemoryFramework:
         self._profiling: ProfilingRun | None = None
         self._profiles: ProfileSet | None = None
 
-    @classmethod
-    def from_shared_profile(
-        cls,
-        app: SimApplication,
-        machine: MachineConfig | None,
-        shared,
-        *,
-        seed: int = 0,
-        metrics: StageMetrics | None = None,
-        fault_plan: FaultPlan | None = None,
-        analysis_engine: str = "vector",
-    ) -> "HybridMemoryFramework":
-        """Build a framework around an already-profiled shared trace.
-
-        ``shared`` is a :class:`~repro.trace.shared.SharedProfile`: the
-        zero-copy trace view plus ground truth a sweep worker attached
-        from the host's trace plane. The profiling memo is seeded
-        directly, so :meth:`profile` never runs — no profile stage is
-        recorded and no fault-plan trace degradation is re-applied
-        (the publisher degraded the trace before exporting it, which
-        is what keeps faulted sweeps bit-reproducible across the plane
-        and private paths). Replay-side faults still flow through
-        ``fault_plan`` as usual.
-        """
-        framework = cls(
-            app,
-            machine,
-            seed=seed,
-            metrics=metrics,
-            fault_plan=fault_plan,
-            analysis_engine=analysis_engine,
-        )
-        framework._profiling = ProfilingRun(
-            trace=shared.trace,
-            ground_truth=shared.ground_truth,
-            sites={spec.name: spec for spec in app.objects},
-        )
-        return framework
-
     # -- step 1 ---------------------------------------------------------
 
     def profile(self, force: bool = False) -> ProfilingRun:
@@ -135,9 +96,10 @@ class HybridMemoryFramework:
                     self.fault_plan is not None
                     and self.fault_plan.degrades_profile
                 ):
-                    dropped, corrupted = FaultInjector(
+                    trace, dropped, corrupted = FaultInjector(
                         self.fault_plan
                     ).degrade_trace(self._profiling.trace)
+                    self._profiling.trace = trace
                     if dropped:
                         self.metrics.bump("samples_dropped", dropped)
                     if corrupted:

@@ -29,6 +29,7 @@ from repro.analysis.profile import ProfileSet
 from repro.errors import AdvisorError, ConfigError
 from repro.machine.config import MachineConfig
 from repro.machine.performance import ExecutionModel, PlacedTraffic, RunCost
+from repro.trace.columnar import ColumnarTrace
 from repro.trace.tracefile import TraceFile
 
 
@@ -82,7 +83,9 @@ class TraceReplayPredictor:
 
     # -- inputs ----------------------------------------------------------
 
-    def profiles_from_trace(self, trace: TraceFile) -> ProfileSet:
+    def profiles_from_trace(
+        self, trace: TraceFile | ColumnarTrace
+    ) -> ProfileSet:
         """Stage-2 reduction, for callers starting from a raw trace."""
         return Paramedir().analyze(trace)
 
@@ -108,7 +111,7 @@ class TraceReplayPredictor:
 
     def predict(
         self,
-        profiles: ProfileSet | TraceFile,
+        profiles: ProfileSet | TraceFile | ColumnarTrace,
         report: PlacementReport,
         latency_weighted: bool = False,
     ) -> PredictedOutcome:
@@ -124,7 +127,7 @@ class TraceReplayPredictor:
         *stall cycles* avoided, which is what distinguishes expensive
         gathers from cheap streams (the Section III refinement).
         """
-        if isinstance(profiles, TraceFile):
+        if not isinstance(profiles, ProfileSet):
             profiles = self.profiles_from_trace(profiles)
         total_samples = profiles.total_samples
         if total_samples == 0:
@@ -192,7 +195,7 @@ class TraceReplayPredictor:
 
     def predict_tiered(
         self,
-        profiles: ProfileSet | TraceFile,
+        profiles: ProfileSet | TraceFile | ColumnarTrace,
         report: PlacementReport,
     ) -> PredictedOutcome:
         """Predict a *multi-tier* placement (HBM/DDR/NVM and beyond).
@@ -202,7 +205,7 @@ class TraceReplayPredictor:
         stack, and the unresolved remainder — lives on the machine's
         slowest tier (the fall-back of the multiple-knapsack scheme).
         """
-        if isinstance(profiles, TraceFile):
+        if not isinstance(profiles, ProfileSet):
             profiles = self.profiles_from_trace(profiles)
         total_samples = profiles.total_samples
         if total_samples == 0:
@@ -270,19 +273,21 @@ class TraceReplayPredictor:
             cost=cost, traffic=traffic, promoted_miss_share=fast_share
         )
 
-    def predict_ddr(self, profiles: ProfileSet | TraceFile) -> PredictedOutcome:
+    def predict_ddr(
+        self, profiles: ProfileSet | TraceFile | ColumnarTrace
+    ) -> PredictedOutcome:
         """The all-DDR prediction (sanity anchor: equals fom_ddr)."""
         empty = PlacementReport(application="", strategy="ddr")
         return self.predict(profiles, empty)
 
     def sweep(
         self,
-        profiles: ProfileSet | TraceFile,
+        profiles: ProfileSet | TraceFile | ColumnarTrace,
         reports: dict[str, PlacementReport],
     ) -> dict[str, PredictedOutcome]:
         """Predict several candidate placements from one profile set —
         the cheap what-if loop re-execution cannot offer."""
-        if isinstance(profiles, TraceFile):
+        if not isinstance(profiles, ProfileSet):
             profiles = self.profiles_from_trace(profiles)
         return {
             label: self.predict(profiles, report)

@@ -138,10 +138,6 @@ def format_stage_metrics(metrics: StageMetrics) -> str:
 BOOKKEEPING_COUNTERS: tuple[str, ...] = (
     "cache_hit",
     "cache_miss",
-    "plane_publish",
-    "plane_publish_failed",
-    "plane_attach",
-    "plane_fallback",
     "framework_evicted",
     "retry",
     "error",

@@ -24,9 +24,8 @@ event columns, the static-variable columns, a JSON ``header`` member
 carrying the scalars and interned tables, and a JSON ``manifest``
 member with a CRC-32 per member. The second (:meth:`ColumnarTrace.
 save_dir`) is the *uncompressed directory container* — one plain
-``.npy`` file per column plus ``header.json``/``manifest.json`` — the
-mmap-able variant the shared trace plane (:mod:`repro.trace.shared`)
-builds on, since zip-packed ``np.savez`` members cannot be
+``.npy`` file per column plus ``header.json``/``manifest.json`` —
+the mmap-able variant, since zip-packed ``np.savez`` members cannot be
 memory-mapped. ``load(..., mmap=True)`` hands out read-only
 memory-mapped columns from a directory container; the page cache then
 shares one physical copy across every process on the host.
@@ -46,7 +45,7 @@ import io
 import json
 import zipfile
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -77,6 +76,18 @@ _SCHEMA = "repro-columnar/1"
 #: JSON member file names of the uncompressed directory container.
 _DIR_HEADER = "header.json"
 _DIR_MANIFEST = "manifest.json"
+
+#: Per-event columns (one entry per trace event each).
+EVENT_COLUMNS = (
+    "times",
+    "kinds",
+    "event_ranks",
+    "addresses",
+    "sizes",
+    "latencies",
+    "aux",
+    "allocator_ids",
+)
 
 #: Event columns that must all be intact for events to be recovered.
 _CORE_COLUMNS = (
@@ -185,34 +196,23 @@ class ColumnarTrace:
             return 0.0
         return float(self.times.max())
 
-    def select(self, mask: np.ndarray) -> "ColumnarTrace":
-        """New trace keeping only the events where ``mask`` is True.
+    def with_events(self, **columns: np.ndarray) -> "ColumnarTrace":
+        """New trace with the given event columns replaced.
 
-        Side tables, statics and metadata are shared/copied whole —
-        interned ids stay valid, so this is the columnar analogue of
-        the Paramedir narrowing copy.
+        Side tables, statics and metadata are shared/copied whole, so
+        interned ids stay valid as long as the new columns only use
+        ids of this trace.
         """
+        return replace(
+            self, metadata=dict(self.metadata), salvage=None, **columns
+        )
+
+    def select(self, mask: np.ndarray) -> "ColumnarTrace":
+        """New trace keeping only the events where ``mask`` is True —
+        the columnar analogue of the Paramedir narrowing copy."""
         mask = np.asarray(mask, dtype=bool)
-        return ColumnarTrace(
-            application=self.application,
-            ranks=self.ranks,
-            sampling_period=self.sampling_period,
-            metadata=dict(self.metadata),
-            times=self.times[mask],
-            kinds=self.kinds[mask],
-            event_ranks=self.event_ranks[mask],
-            addresses=self.addresses[mask],
-            sizes=self.sizes[mask],
-            latencies=self.latencies[mask],
-            aux=self.aux[mask],
-            allocator_ids=self.allocator_ids[mask],
-            callstacks=self.callstacks,
-            functions=self.functions,
-            allocators=self.allocators,
-            static_names=self.static_names,
-            static_ranks=self.static_ranks,
-            static_addresses=self.static_addresses,
-            static_sizes=self.static_sizes,
+        return self.with_events(
+            **{name: getattr(self, name)[mask] for name in EVENT_COLUMNS}
         )
 
     # -- conversion ----------------------------------------------------------
@@ -452,44 +452,6 @@ class ColumnarTrace:
             atomic_write_bytes(path / f"{name}.npy", buf.getvalue())
         atomic_write_bytes(path / _DIR_HEADER, header)
         atomic_write_bytes(path / _DIR_MANIFEST, manifest)
-
-    @classmethod
-    def from_header_and_columns(
-        cls, header: dict, columns: dict[str, np.ndarray]
-    ) -> "ColumnarTrace":
-        """Assemble a trace from a decoded header dict plus one array
-        per column (the shared trace plane's attach path; the caller
-        has already verified checksums)."""
-        callstacks = tuple(
-            CallStack(
-                frames=tuple(
-                    Frame(module=m, function=fn, file=fi, line=ln)
-                    for m, fn, fi, ln in frames
-                )
-            )
-            for frames in header.get("callstacks", [])
-        )
-        return cls(
-            application=header.get("application", ""),
-            ranks=int(header.get("ranks", 1)),
-            sampling_period=int(header.get("sampling_period", 1)),
-            metadata=header.get("metadata", {}),
-            times=columns["times"],
-            kinds=columns["kinds"],
-            event_ranks=columns["event_ranks"],
-            addresses=columns["addresses"],
-            sizes=columns["sizes"],
-            latencies=columns["latencies"],
-            aux=columns["aux"],
-            allocator_ids=columns["allocator_ids"],
-            callstacks=callstacks,
-            functions=tuple(header.get("functions", [])),
-            allocators=tuple(header.get("allocators", [])),
-            static_names=tuple(header.get("static_names", [])),
-            static_ranks=columns["static_ranks"],
-            static_addresses=columns["static_addresses"],
-            static_sizes=columns["static_sizes"],
-        )
 
     @staticmethod
     def _read_dir_members(path: Path, mmap: bool) -> dict[str, np.ndarray]:

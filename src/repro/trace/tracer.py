@@ -10,7 +10,7 @@ references for the LLC misses". The tracer therefore:
 * filters allocations below a minimum size (the paper monitors only
   allocations larger than 4 KiB "to avoid small (and possibly
   frequent) allocations such as those related to I/O");
-* owns the PEBS sampler and folds its samples into the trace;
+* owns the PEBS sampler and keeps its samples as NumPy columns;
 * records phase (function) markers for the Folding analysis;
 * accounts its own monitoring overhead so Table I's overhead column
   can be reproduced.
@@ -26,11 +26,11 @@ from repro.pebs.sampler import PebsSampler
 from repro.runtime.allocator import Allocation
 from repro.runtime.process import SimProcess
 from repro.runtime.symbols import translate_cost_us, unwind_cost_us
+from repro.trace.columnar import KIND_SAMPLE, NO_LATENCY, ColumnarTrace
 from repro.trace.events import (
     AllocEvent,
     FreeEvent,
     PhaseEvent,
-    SampleEvent,
     StaticVarRecord,
 )
 from repro.trace.tracefile import TraceFile
@@ -52,16 +52,16 @@ class TracerConfig:
     #: Record per-sample access latency (Xeon-style PEBS; the Xeon Phi
     #: PMU the paper uses does not provide it).
     record_latency: bool = False
-    #: Keep sampled misses as NumPy columns instead of per-sample
-    #: event objects. The sparse alloc/free/phase records still go
-    #: through :attr:`Tracer.trace`; samples — the bulk of any trace —
-    #: never exist as Python objects, and :meth:`Tracer.columnar_trace`
-    #: merges both into a :class:`~repro.trace.columnar.ColumnarTrace`.
-    columnar_samples: bool = False
 
 
 class Tracer:
-    """Per-process tracer; attach with :meth:`attach`."""
+    """Per-process tracer; attach with :meth:`attach`.
+
+    The sparse records (allocations, frees, phase markers, statics and
+    metadata) accumulate in :attr:`records`; sampled misses — the bulk
+    of any trace — stay NumPy columns from the PMU model onwards and
+    only meet the records in :meth:`columnar_trace`.
+    """
 
     def __init__(
         self,
@@ -71,7 +71,8 @@ class Tracer:
     ) -> None:
         self.config = config or TracerConfig()
         self.rank = rank
-        self.trace = TraceFile(
+        #: Everything but the samples, in emission order.
+        self.records = TraceFile(
             application=application,
             ranks=1,
             sampling_period=self.config.sampling_period,
@@ -83,10 +84,10 @@ class Tracer:
         self._process: SimProcess | None = None
         #: Seconds of perturbation the tracer added (Table I overhead).
         self.overhead_seconds = 0.0
-        #: Column chunks of picked samples (``columnar_samples`` mode):
-        #: (addresses, times, latencies-or-None) per fed chunk.
+        #: Picked samples per fed chunk: (records appended before the
+        #: chunk, addresses, times, latencies-or-None).
         self._sample_chunks: list[
-            tuple[np.ndarray, np.ndarray, np.ndarray | None]
+            tuple[int, np.ndarray, np.ndarray, np.ndarray | None]
         ] = []
 
     # -- lifecycle -----------------------------------------------------------
@@ -94,12 +95,12 @@ class Tracer:
     def attach(self, process: SimProcess) -> None:
         self._process = process
         process.add_observer(self)
-        self.trace.metadata["stack_region"] = [
+        self.records.metadata["stack_region"] = [
             process.stack_region.base,
             process.stack_region.size,
         ]
         for name, region in process.statics.items():
-            self.trace.statics.append(
+            self.records.statics.append(
                 StaticVarRecord(
                     name=name, rank=self.rank, address=region.base, size=region.size
                 )
@@ -118,7 +119,7 @@ class Tracer:
             + translate_cost_us(depth)
             + self.config.record_cost_us
         ) * MICROSECOND
-        self.trace.append(
+        self.records.append(
             AllocEvent(
                 time=clock,
                 rank=self.rank,
@@ -133,7 +134,7 @@ class Tracer:
         if alloc.size < self.config.min_alloc_size:
             return
         self.overhead_seconds += self.config.record_cost_us * MICROSECOND
-        self.trace.append(
+        self.records.append(
             FreeEvent(time=clock, rank=self.rank, address=alloc.address)
         )
 
@@ -153,110 +154,85 @@ class Tracer:
         """
         if not self.config.record_latency:
             latencies = None
-        # Array-native attribution: the sampler picks positions in
-        # NumPy and only the sparse picks become trace records —
-        # per-miss Python work never happens.
         picked_addrs, picked_times, picked_lats = (
             self.sampler.sample_chunk_arrays(addresses, times, latencies)
         )
-        if self.config.columnar_samples:
-            n_picked = int(picked_addrs.size)
-            if n_picked:
-                self._sample_chunks.append(
-                    (picked_addrs, picked_times, picked_lats)
+        n_picked = int(picked_addrs.size)
+        if n_picked:
+            self._sample_chunks.append(
+                (
+                    len(self.records.events),
+                    picked_addrs,
+                    picked_times,
+                    picked_lats,
                 )
-            self.overhead_seconds += (
-                n_picked * self.config.sample_cost_us * MICROSECOND
             )
-            return n_picked
-        rank = self.rank
-        if picked_lats is None:
-            events = [
-                SampleEvent(time=float(t), rank=rank, address=int(a))
-                for a, t in zip(picked_addrs, picked_times)
-            ]
-        else:
-            events = [
-                SampleEvent(
-                    time=float(t),
-                    rank=rank,
-                    address=int(a),
-                    latency_cycles=int(c),
-                )
-                for a, t, c in zip(picked_addrs, picked_times, picked_lats)
-            ]
-        self.trace.extend(events)
         self.overhead_seconds += (
-            len(events) * self.config.sample_cost_us * MICROSECOND
+            n_picked * self.config.sample_cost_us * MICROSECOND
         )
-        return len(events)
+        return n_picked
 
     def record_phase(self, function: str, clock: float) -> None:
         """Mark entry into a code phase (for the Folding analysis)."""
-        self.trace.append(
+        self.records.append(
             PhaseEvent(time=clock, rank=self.rank, function=function)
         )
 
-    def columnar_trace(self) -> "ColumnarTrace":
+    def columnar_trace(self) -> ColumnarTrace:
         """Everything traced so far as one :class:`ColumnarTrace`.
 
-        In ``columnar_samples`` mode the buffered sample columns are
-        appended to the columnarised event records — samples go from
-        the PMU to the columnar trace without ever existing as Python
-        objects. Event order within the arrays is "records then
-        samples"; attribution orders by time/priority itself, so the
-        result is analysis-equivalent to the row-mode trace.
+        Events are laid out in emission order — each sample chunk sits
+        between the records appended before and after it — so the
+        result equals columnarising a per-event trace of the same run,
+        column for column, and exports to the same JSONL bytes.
         """
-        from repro.trace.columnar import (
-            KIND_SAMPLE,
-            NO_LATENCY,
-            ColumnarTrace,
-        )
-
-        base = ColumnarTrace.from_tracefile(self.trace)
-        if not self._sample_chunks:
+        base = ColumnarTrace.from_tracefile(self.records)
+        chunks = self._sample_chunks
+        if not chunks:
             return base
-        addr = np.concatenate([c[0] for c in self._sample_chunks])
-        times = np.concatenate([c[1] for c in self._sample_chunks])
-        lats = np.concatenate(
+        n_records = base.n_events
+        inserted_at = np.array([chunk[0] for chunk in chunks])
+        samples_before = np.concatenate(
+            ([0], np.cumsum([chunk[1].size for chunk in chunks]))
+        )
+        n_total = n_records + int(samples_before[-1])
+        # Record i follows every chunk fed while fewer than i + 1
+        # records existed.
+        record_at = np.arange(n_records)
+        record_at += samples_before[
+            np.searchsorted(inserted_at, record_at, side="right")
+        ]
+        is_sample = np.ones(n_total, dtype=bool)
+        is_sample[record_at] = False
+
+        def merged(column: np.ndarray, samples) -> np.ndarray:
+            out = np.empty(n_total, dtype=column.dtype)
+            out[record_at] = column
+            out[is_sample] = samples
+            return out
+
+        latencies = np.concatenate(
             [
-                c[2]
-                if c[2] is not None
-                else np.full(c[0].size, NO_LATENCY, dtype=np.int64)
-                for c in self._sample_chunks
+                np.full(chunk[1].size, NO_LATENCY, dtype=np.int64)
+                if chunk[3] is None
+                else chunk[3]
+                for chunk in chunks
             ]
         )
-        n = addr.size
-        return ColumnarTrace(
-            application=base.application,
-            ranks=base.ranks,
-            sampling_period=base.sampling_period,
-            metadata=base.metadata,
-            times=np.concatenate([base.times, times.astype(np.float64)]),
-            kinds=np.concatenate(
-                [base.kinds, np.full(n, KIND_SAMPLE, dtype=np.uint8)]
+        return base.with_events(
+            times=merged(
+                base.times, np.concatenate([chunk[2] for chunk in chunks])
             ),
-            event_ranks=np.concatenate(
-                [base.event_ranks, np.full(n, self.rank, dtype=np.int32)]
+            kinds=merged(base.kinds, KIND_SAMPLE),
+            event_ranks=merged(base.event_ranks, self.rank),
+            addresses=merged(
+                base.addresses,
+                np.concatenate([chunk[1] for chunk in chunks]),
             ),
-            addresses=np.concatenate(
-                [base.addresses, addr.astype(np.int64)]
-            ),
-            sizes=np.concatenate([base.sizes, np.zeros(n, dtype=np.int64)]),
-            latencies=np.concatenate(
-                [base.latencies, lats.astype(np.int64)]
-            ),
-            aux=np.concatenate([base.aux, np.full(n, -1, dtype=np.int32)]),
-            allocator_ids=np.concatenate(
-                [base.allocator_ids, np.full(n, -1, dtype=np.int32)]
-            ),
-            callstacks=base.callstacks,
-            functions=base.functions,
-            allocators=base.allocators,
-            static_names=base.static_names,
-            static_ranks=base.static_ranks,
-            static_addresses=base.static_addresses,
-            static_sizes=base.static_sizes,
+            sizes=merged(base.sizes, 0),
+            latencies=merged(base.latencies, latencies),
+            aux=merged(base.aux, -1),
+            allocator_ids=merged(base.allocator_ids, -1),
         )
 
     # -- summary -------------------------------------------------------------

@@ -76,7 +76,7 @@ class TestOnRealTraces:
     def test_tinyapp_objects_classified_by_their_patterns(
         self, tiny_profiling
     ):
-        verdicts = classify_access_patterns(tiny_profiling.trace)
+        verdicts = classify_access_patterns(tiny_profiling.trace.to_tracefile())
         by_label = {k.label.split("@")[0]: v for k, v in verdicts.items()}
         # big_matrix is a declared sequential stream.
         assert by_label["alloc_matrix"].pattern is PatternClass.REGULAR
@@ -84,7 +84,7 @@ class TestOnRealTraces:
         assert by_label["setup"].pattern is PatternClass.IRREGULAR
 
     def test_all_sampled_objects_get_verdicts(self, tiny_profiling):
-        verdicts = classify_access_patterns(tiny_profiling.trace)
+        verdicts = classify_access_patterns(tiny_profiling.trace.to_tracefile())
         assert len(verdicts) >= 3
         for verdict in verdicts.values():
             assert verdict.samples > 0

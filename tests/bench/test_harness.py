@@ -190,3 +190,29 @@ class TestCommittedBaseline:
         assert (
             "analysis_attribution", "alloc-sample-mix", "quick"
         ) in quick_keys
+
+    def test_bench_pr12_meets_acceptance(self):
+        """The committed trajectory records the 2M-miss profile +
+        analyze at >= 10x over the per-event path (and under 0.12 s),
+        quick records for every stage the CI gate tracks, and none of
+        the retired shared-plane records."""
+        report = self._load("BENCH_PR12.json")
+        (full,) = [
+            r for r in report.records
+            if r.key == ("profile_analyze", "benchsweep", "full")
+        ]
+        assert full.n >= 2_000_000
+        assert full.speedup is not None and full.speedup >= 10.0
+        assert full.seconds <= 0.12
+        quick_keys = {r.key for r in report.records if r.mode == "quick"}
+        for key in (
+            ("pebs_sampler", "uniform", "quick"),
+            ("profile_analyze", "benchsweep", "quick"),
+            ("sweep_throughput", "serial-jobs1", "quick"),
+            ("sweep_throughput", "pool-jobs4", "quick"),
+        ):
+            assert key in quick_keys, key
+        assert not any(
+            r.stage == "sweep_worker_rss" or r.scenario.startswith("plane")
+            for r in report.records
+        )

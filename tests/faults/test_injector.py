@@ -1,6 +1,7 @@
 """FaultInjector: every decision is a pure function of (seed, identity)."""
 
 import shutil
+import zlib
 
 import pytest
 
@@ -27,19 +28,58 @@ from repro.faults.plan import FaultPlan
 from repro.runtime.callstack import RawCallStack
 from repro.runtime.process import SimProcess
 from repro.runtime.symbols import FunctionSymbol, ModuleImage
+from repro.trace.columnar import ColumnarTrace
 from repro.trace.events import PhaseEvent, SampleEvent
 from repro.trace.tracefile import TraceFile
 from repro.units import KIB, MIB
 
 
-def _sample_trace(n=400, application="demo"):
+def _sample_rows(n=400, application="demo", phase_every=None):
     trace = TraceFile(application=application, ranks=1, sampling_period=3)
     trace.append(PhaseEvent(time=0.0, rank=0, function="loop"))
     for i in range(n):
         trace.append(
             SampleEvent(time=i * 1e-3, rank=0, address=0x1000 + 64 * i)
         )
+        if phase_every and i % phase_every == 0:
+            trace.append(PhaseEvent(time=i * 1e-3, rank=0, function="loop"))
     return trace
+
+
+def _sample_trace(n=400, application="demo"):
+    return ColumnarTrace.from_tracefile(_sample_rows(n, application))
+
+
+def _degrade_rows(plan, trace):
+    """Per-event reference: walk the row events, drawing one verdict
+    per sample index."""
+    from repro.faults.injector import _unit
+
+    scope = zlib.crc32(trace.application.encode())
+    kept, dropped, corrupted, index = [], 0, 0, 0
+    for event in trace.events:
+        if not isinstance(event, SampleEvent):
+            kept.append(event)
+            continue
+        u = _unit(plan.seed, "sample", scope, index)
+        index += 1
+        if u < plan.sample_drop_rate:
+            dropped += 1
+        elif u < plan.sample_drop_rate + plan.sample_corrupt_rate:
+            garbage = int(_unit(plan.seed, "corrupt", scope, index) * 2**46)
+            kept.append(
+                SampleEvent(
+                    time=event.time,
+                    rank=event.rank,
+                    address=(event.address ^ 0x5A5A_5A5A_5A5A) + garbage,
+                    latency_cycles=event.latency_cycles,
+                )
+            )
+            corrupted += 1
+        else:
+            kept.append(event)
+    trace.events = kept
+    return dropped, corrupted
 
 
 def _process():
@@ -57,45 +97,67 @@ class TestDegradeTrace:
     def test_drop_and_corrupt_counts(self):
         trace = _sample_trace()
         plan = FaultPlan(seed=42, sample_drop_rate=0.1, sample_corrupt_rate=0.05)
-        dropped, corrupted = FaultInjector(plan).degrade_trace(trace)
+        degraded, dropped, corrupted = FaultInjector(plan).degrade_trace(trace)
         assert 0 < dropped < 400
         assert 0 < corrupted < 400
-        assert len(trace.sample_events) == 400 - dropped
+        rows = degraded.to_tracefile()
+        assert len(rows.sample_events) == 400 - dropped
         # Non-sample events are never touched.
-        assert len(trace.phase_events) == 1
+        assert len(rows.phase_events) == 1
+        # The input trace is left as it was.
+        assert trace.n_samples == 400
 
     def test_deterministic(self):
         plan = FaultPlan(seed=7, sample_drop_rate=0.2, sample_corrupt_rate=0.1)
         a, b = _sample_trace(), _sample_trace()
-        counts_a = FaultInjector(plan).degrade_trace(a)
-        counts_b = FaultInjector(plan).degrade_trace(b)
+        a, *counts_a = FaultInjector(plan).degrade_trace(a)
+        b, *counts_b = FaultInjector(plan).degrade_trace(b)
         assert counts_a == counts_b
-        assert a.events == b.events
+        assert a.to_tracefile().events == b.to_tracefile().events
 
     def test_keyed_on_application_name(self):
         plan = FaultPlan(seed=7, sample_drop_rate=0.2)
-        a = _sample_trace(application="alpha")
-        b = _sample_trace(application="beta")
-        FaultInjector(plan).degrade_trace(a)
-        FaultInjector(plan).degrade_trace(b)
-        assert a.events != b.events
+        a, _, _ = FaultInjector(plan).degrade_trace(
+            _sample_trace(application="alpha")
+        )
+        b, _, _ = FaultInjector(plan).degrade_trace(
+            _sample_trace(application="beta")
+        )
+        assert a.to_tracefile().events != b.to_tracefile().events
 
     def test_clean_plan_is_a_noop(self):
         trace = _sample_trace(n=10)
-        before = list(trace.events)
-        assert FaultInjector(FaultPlan(seed=1)).degrade_trace(trace) == (0, 0)
-        assert trace.events == before
+        degraded, dropped, corrupted = FaultInjector(
+            FaultPlan(seed=1)
+        ).degrade_trace(trace)
+        assert (dropped, corrupted) == (0, 0)
+        assert degraded is trace
 
     def test_corruption_perturbs_addresses(self):
         trace = _sample_trace(n=50)
-        originals = [e.address for e in trace.sample_events]
+        originals = [e.address for e in trace.to_tracefile().sample_events]
         plan = FaultPlan(seed=3, sample_corrupt_rate=1.0)
-        dropped, corrupted = FaultInjector(plan).degrade_trace(trace)
+        degraded, dropped, corrupted = FaultInjector(plan).degrade_trace(trace)
         assert (dropped, corrupted) == (0, 50)
         assert all(
             e.address != o
-            for e, o in zip(trace.sample_events, originals)
+            for e, o in zip(degraded.to_tracefile().sample_events, originals)
         )
+
+    @pytest.mark.parametrize("seed", [3, 7, 42])
+    def test_matches_per_event_reference(self, seed):
+        """The column mask draws the same per-sample-index verdicts as
+        a walk over the row events, so degraded profiles stay
+        bit-identical to the per-event formulation."""
+        plan = FaultPlan(
+            seed=seed, sample_drop_rate=0.15, sample_corrupt_rate=0.2
+        )
+        rows = _sample_rows(phase_every=50)
+        degraded, *counts = FaultInjector(plan).degrade_trace(
+            ColumnarTrace.from_tracefile(rows)
+        )
+        assert tuple(counts) == _degrade_rows(plan, rows)
+        assert degraded.to_tracefile().events == rows.events
 
 
 class TestCallstackPerturbation:
@@ -175,7 +237,7 @@ class TestMemkindInjection:
 
 class TestDamageTraceFile:
     def _saved(self, tmp_path, name="run.trace", n=400):
-        trace = _sample_trace(n=n)
+        trace = _sample_rows(n=n)
         path = tmp_path / name
         trace.save(path)
         return trace, path

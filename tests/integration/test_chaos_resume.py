@@ -54,47 +54,13 @@ print("DONE", flush=True)
 """
 
 
-#: Same victim, but sweeping through the shared trace plane — and
-#: announcing each published segment so the test can verify the
-#: SIGKILL'd parent leaks nothing into /dev/shm.
-PLANE_VICTIM_SCRIPT = """
-import sys
-from repro.faults.plan import FaultPlan
-from repro.parallel.sweep import run_sweep
-from repro.pipeline.experiment import ExperimentGrid
-from repro.trace.shared import SharedTracePlane
-from repro.units import MIB
-from tests.conftest import TinyApp
-
-grid = ExperimentGrid(
-    budgets=(32 * MIB, 64 * MIB), strategies=("density", "misses-0%")
-)
-plan = FaultPlan(seed=7, cell_hang_rate=1.0, cell_hang_seconds=0.4)
-
-_publish = SharedTracePlane.publish
-
-def publish(self, key, trace, truth):
-    handle = _publish(self, key, trace, truth)
-    print("PLANE", handle.location, flush=True)
-    return handle
-
-SharedTracePlane.publish = publish
-print("START", flush=True)
-run_sweep(
-    [TinyApp()], grid=grid, jobs=2, seed=0, fault_plan=plan,
-    journal_dir=sys.argv[1], shared_plane=True,
-)
-print("DONE", flush=True)
-"""
-
-
-def launch_victim(journal_dir: Path, script: str = VICTIM_SCRIPT) -> subprocess.Popen:
+def launch_victim(journal_dir: Path) -> subprocess.Popen:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(REPO_ROOT / "src"), str(REPO_ROOT)]
     )
     return subprocess.Popen(
-        [sys.executable, "-c", script, str(journal_dir)],
+        [sys.executable, "-c", VICTIM_SCRIPT, str(journal_dir)],
         env=env,
         cwd=REPO_ROOT,
         stdout=subprocess.PIPE,
@@ -144,55 +110,6 @@ class TestSigkillResume:
         final = read_journal(journal_dir / JOURNAL_FILENAME)
         assert final.completed
         assert len(final.settled) == len(resumed.outcomes)
-
-    def test_sigkill_with_live_plane_resumes_and_leaks_nothing(
-        self, tmp_path
-    ):
-        """SIGKILL the sweep while its shared trace plane is live: the
-        resumed sweep must agree with an uninterrupted one, and the
-        orphaned shm segment must be reclaimed (by the resource
-        tracker) rather than leaked into /dev/shm."""
-        journal_dir = tmp_path / "journal"
-        uninterrupted = run_sweep(
-            [TinyApp()], grid=GRID, jobs=2, seed=0, fault_plan=PLAN,
-            shared_plane=True,
-        )
-        assert not uninterrupted.failures
-        assert uninterrupted.metrics.count("plane_publish") == 1
-
-        victim = launch_victim(journal_dir, PLANE_VICTIM_SCRIPT)
-        segment = None
-        try:
-            assert victim.stdout.readline().strip() == "START"
-            line = victim.stdout.readline().strip()
-            assert line.startswith("PLANE ")
-            segment = Path("/dev/shm") / line.split(" ", 1)[1]
-            assert segment.exists()  # the plane is live...
-            time.sleep(random.Random(0xDEAD).uniform(0.2, 0.8))
-            victim.send_signal(signal.SIGKILL)  # ...when the axe falls
-            victim.wait(timeout=30)
-        finally:
-            if victim.poll() is None:
-                victim.kill()
-            victim.stdout.close()
-        assert victim.returncode == -signal.SIGKILL
-
-        # The resource tracker outlives the victim and unlinks the
-        # orphaned segment once the workers wind down (asynchronously).
-        deadline = time.monotonic() + 30
-        while segment.exists() and time.monotonic() < deadline:
-            time.sleep(0.1)
-        assert not segment.exists(), "SIGKILL'd parent leaked its plane"
-
-        resumed = run_sweep(
-            [TinyApp()], grid=GRID, jobs=2, seed=0, fault_plan=PLAN,
-            journal_dir=journal_dir, resume=True, shared_plane=True,
-        )
-        assert not resumed.failures
-        ours = resumed.experiment(TinyApp())
-        theirs = uninterrupted.experiment(TinyApp())
-        assert ours.grid == theirs.grid
-        assert ours.baselines == theirs.baselines
 
     def test_journal_readable_after_kill(self, tmp_path):
         """Even with no resume, the post-kill journal must parse: the

@@ -104,5 +104,5 @@ class TestTracerSeesAligned:
         with process.in_function("app", "main", 1):
             address = process.posix_memalign(4096, 64 * KIB)
         process.free(address)
-        assert len(tracer.trace.alloc_events) == 1
-        assert tracer.trace.alloc_events[0].size == 64 * KIB
+        assert len(tracer.records.alloc_events) == 1
+        assert tracer.records.alloc_events[0].size == 64 * KIB

@@ -760,24 +760,19 @@ def _journal_payloads(journal_dir):
     return payloads
 
 
-class TestSharedPlaneSweep:
-    """The zero-copy trace plane and batched dispatch must be pure
-    optimisations: identical rows, identical journals, counted (never
-    fatal) degradation."""
+class TestBatchedDispatch:
+    """Batched dispatch must be a pure optimisation: identical rows,
+    identical journals, per-cell caching and fault verdicts."""
 
     def test_equality_matrix(self, tmp_path):
-        """Serial, pool, pool+plane (both backends) and batched
-        dispatch settle identical rows and identical journals."""
+        """Serial, pool and batched pool dispatch settle identical rows
+        and identical journals."""
         apps = [TinyApp(), SecondApp()]
         variants = {
             "serial": dict(jobs=1),
             "pool": dict(jobs=2),
             "pool-batched": dict(jobs=2, batch_size=3),
-            "plane-shm": dict(jobs=2, shared_plane=True),
-            "plane-mmap": dict(
-                jobs=2, shared_plane=True, plane_backend="mmap"
-            ),
-            "plane-batched": dict(jobs=2, shared_plane=True, batch_size=4),
+            "pool-batched-wide": dict(jobs=2, batch_size=8),
         }
         signatures, journals = {}, {}
         for label, kwargs in variants.items():
@@ -795,109 +790,37 @@ class TestSharedPlaneSweep:
         for label, journal in journals.items():
             assert journal == reference_journal, label
 
-    def test_plane_metrics_account_publish_and_attach(self):
-        sweep = run_sweep(
-            [TinyApp(), SecondApp()], grid=SMALL_GRID, jobs=2, seed=0,
-            shared_plane=True,
-        )
-        assert not sweep.failures
-        assert sweep.metrics.count("plane_publish") == 2
-        assert sweep.metrics.count("plane_attach") >= 1
-        assert sweep.metrics.count("plane_fallback") == 0
-        # The parent's single profile run per app is the only profile
-        # work in the whole sweep.
-        assert sweep.metrics.count("profile") == 2
-
-    def test_faulted_plane_sweep_matches_private_paths(self):
-        """A profile-degrading plan forces the row-mode publish path;
-        rows must still match serial and planeless pools bit for bit."""
+    def test_faulted_batched_sweep_matches_serial(self):
+        """Profile degradation runs on the worker's own columnar trace;
+        batched workers must settle the serial rows bit for bit."""
         serial = run_sweep(
             [TinyApp()], grid=SMALL_GRID, jobs=1, seed=0,
             fault_plan=FAULTY_PLAN,
         )
-        plane = run_sweep(
+        batched = run_sweep(
             [TinyApp()], grid=SMALL_GRID, jobs=2, seed=0,
-            fault_plan=FAULTY_PLAN, shared_plane=True,
+            fault_plan=FAULTY_PLAN, batch_size=4,
         )
-        assert _row_signature(serial) == _row_signature(plane)
+        assert _row_signature(serial) == _row_signature(batched)
+        assert serial.metrics.count("samples_dropped") > 0
 
-    def test_lost_plane_degrades_to_private_not_failure(self, machine):
-        """A worker that finds the plane gone falls back to a private
-        profile run — the cell's row is identical, only the counter
-        tells the story."""
-        from repro.parallel.sweep import _execute_cell
-        from repro.pipeline.metrics import StageMetrics
-        from repro.trace.shared import SharedTracePlane
-        from repro.trace.tracer import TracerConfig
-
-        app = TinyApp()
-        cell = enumerate_cells(app, SMALL_GRID)[0]
-        framework_profile = app.run_profiling(
-            seed=0,
-            tracer_config=TracerConfig(
-                sampling_period=app.sampling_period, columnar_samples=True
-            ),
-        )
-        plane = SharedTracePlane()
-        handle = plane.publish(
-            "gone-plane",
-            framework_profile.tracer.columnar_trace(),
-            framework_profile.ground_truth,
-        )
-        plane.close()  # the plane vanishes before the worker attaches
-
-        row, error, category, metrics = _execute_cell(
-            app, machine, cell, 0, {}, None, 1, plane=handle
-        )
-        assert error is None and category is None
-        counters = StageMetrics.from_dict(metrics)
-        assert counters.count("plane_fallback") == 1
-        assert counters.count("plane_attach") == 0
-
-        private_row, _, _, _ = _execute_cell(
-            app, machine, cell, 0, {}, None, 1
-        )
-        assert row == private_row
-
-    def test_shared_plane_composes_with_result_cache(self, tmp_path):
+    def test_batched_pool_composes_with_result_cache(self, tmp_path):
         cold = run_sweep(
             [TinyApp()], grid=SMALL_GRID, jobs=2, seed=0,
-            shared_plane=True, cache_dir=tmp_path,
+            batch_size=2, cache_dir=tmp_path,
         )
-        assert cold.metrics.count("plane_publish") == 1
+        assert not cold.failures
         warm = run_sweep(
             [TinyApp()], grid=SMALL_GRID, jobs=2, seed=0,
-            shared_plane=True, cache_dir=tmp_path,
+            batch_size=2, cache_dir=tmp_path,
         )
-        # Fully warm: nothing pending, so no plane is even published.
         assert warm.metrics.total_stage_executions == 0
         assert warm.metrics.count("cache_hit") == 8
-        assert warm.metrics.count("plane_publish") == 0
 
-    def test_supervised_sweep_uses_the_plane(self, tiny_app):
-        serial = run_figure4_experiment(tiny_app, grid=SMALL_GRID, seed=0)
-        sweep = run_sweep(
-            [tiny_app], grid=SMALL_GRID, jobs=2, seed=0,
-            cell_deadline=60.0, shared_plane=True,
-        )
-        assert not sweep.failures
-        assert sweep.metrics.count("plane_publish") == 1
-        assert sweep.metrics.count("plane_attach") >= 1
-        assert sweep.experiment(tiny_app).grid == serial.grid
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"batch_size": 0},
-            {"batch_size": -1},
-            {"plane_backend": "carrier-pigeon"},
-        ],
-    )
-    def test_rejects_bad_plane_knobs(self, kwargs):
+    @pytest.mark.parametrize("kwargs", [{"batch_size": 0}, {"batch_size": -1}])
+    def test_rejects_bad_batch_size(self, kwargs):
         with pytest.raises(ConfigError):
             SweepConfig(**kwargs)
-
-
 class TestBatchSizing:
     def test_explicit_batch_size_wins(self):
         executor = SweepExecutor(config=SweepConfig(jobs=4, batch_size=7))

@@ -3,7 +3,10 @@
 import pytest
 
 from repro.advisor.report import PlacementReport
+from repro.analysis.attribution import attribute_samples
 from repro.analysis.objects import ObjectKind
+from repro.analysis.profile import ProfileSet
+from repro.apps.registry import _REGISTRY, get_app
 from repro.pipeline.framework import HybridMemoryFramework
 from repro.units import MIB
 
@@ -103,3 +106,34 @@ class TestMemorySpecUnits:
         # the scale factor itself.
         ratio = spec.tier("DDR").budget / spec.tier("MCDRAM").budget
         assert ratio == pytest.approx(ddr.capacity / (64 * MIB), rel=0.05)
+
+
+class TestColumnarProfileConservation:
+    """The framework analyses exactly the samples its tracer picked,
+    for every registered application, and the vector kernel agrees
+    with the per-event oracle on the same trace."""
+
+    @pytest.fixture(scope="class", params=sorted(_REGISTRY))
+    def profiled(self, request):
+        fw = HybridMemoryFramework(get_app(request.param))
+        return fw.profile(), fw.analyze()
+
+    def test_every_picked_sample_is_analysed(self, profiled):
+        profiling, profiles = profiled
+        attributed = sum(p.sampled_misses for p in profiles.profiles)
+        assert profiling.tracer.n_samples > 0
+        assert (
+            attributed + profiles.unresolved_samples + profiles.stack_samples
+            == profiling.tracer.n_samples
+        )
+        assert profiling.trace.n_samples == profiling.tracer.n_samples
+
+    def test_profiles_equal_the_per_event_oracle(self, profiled):
+        profiling, profiles = profiled
+        trace = profiling.trace
+        oracle = ProfileSet.from_attribution(
+            attribute_samples(trace.to_tracefile()),
+            sampling_period=trace.sampling_period,
+            application=trace.application,
+        )
+        assert profiles == oracle

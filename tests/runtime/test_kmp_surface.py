@@ -70,5 +70,5 @@ class TestKmpSurface:
         with process.in_function("app", "main", 1):
             address = process.kmp_malloc(64 * KIB)
         process.kmp_free(address)
-        assert len(tracer.trace.alloc_events) == 1
-        assert len(tracer.trace.free_events) == 1
+        assert len(tracer.records.alloc_events) == 1
+        assert len(tracer.records.free_events) == 1

@@ -150,8 +150,8 @@ class TestColumnarFlow:
             )
 
     def test_profile_columnar_end_to_end(self, tmp_path):
-        """--columnar writes the binary trace; analysis of it must
-        match the JSONL path byte for byte."""
+        """--columnar only picks the .npz container; analysis of it
+        must match the JSONL export byte for byte."""
         from repro.trace.columnar import is_columnar_trace
 
         jsonl, npz = tmp_path / "row.trace", tmp_path / "col.npz"
@@ -178,6 +178,38 @@ class TestColumnarFlow:
             s.latency_cycles is not None
             for s in loaded.to_tracefile().sample_events
         )
+
+
+#: sha256 of the seed-0 JSONL profile export. The per-event tracer
+#: wrote these bytes; the columnar tracer must keep writing them.
+JSONL_EXPORT_SHA256 = {
+    "hpcg": "7d6b53dbcc5da2ef59fa2a869b014eacbcdba1cae04e733d41262ae44f2a253b",
+    "phaseshift": (
+        "510622adff2bf4f499dc96b043bcbeeee26c2676f6581b27465bca59724fac7a"
+    ),
+}
+
+
+class TestJsonlExportPin:
+    def _sha256(self, path):
+        import hashlib
+
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_repro_profile_hpcg(self, tmp_path):
+        path = tmp_path / "hpcg.trace"
+        assert profile_main(["hpcg", "-o", str(path), "--seed", "0"]) == 0
+        assert self._sha256(path) == JSONL_EXPORT_SHA256["hpcg"]
+
+    @pytest.mark.parametrize("name", sorted(JSONL_EXPORT_SHA256))
+    def test_library_export(self, name, tmp_path):
+        """The export ``repro-profile`` performs, for every pinned app
+        (phaseshift is not a Table I choice of the CLI)."""
+        from repro.apps.registry import get_app
+
+        path = tmp_path / f"{name}.trace"
+        get_app(name).run_profiling(seed=0).trace.to_tracefile().save(path)
+        assert self._sha256(path) == JSONL_EXPORT_SHA256[name]
 
 
 class TestFaultFlow:
