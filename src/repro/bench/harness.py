@@ -624,51 +624,79 @@ def _bench_windowed_scoring(
     )
 
 
+#: Most the 4-node fleet's ms/arrival may grow from its 100-arrival
+#: rung to its largest rung before the stage fails.
+CLUSTER_SHAPE_MAX_RATIO = 1.5
+
+
 def _bench_cluster_schedule(
-    report: BenchReport, n_arrivals: int, seed: int, repeats: int
+    report: BenchReport,
+    n_arrivals: int,
+    shape_rungs: tuple[int, int],
+    seed: int,
+    repeats: int,
 ) -> None:
-    """End-to-end cluster event loop on a fixed-seed fleet.
+    """End-to-end cluster event loop on fixed-seed fleets.
 
     No oracle exists (the simulator *is* the reference); instead the
-    stage asserts the run's own invariants — contention charged
+    stage asserts each run's own invariants — contention charged
     (aggregate FOM bounded by the isolated sum) and a sane fairness
     index — while timing arrivals through the full admit / contend /
     depart / re-advise pipeline.
+
+    ``fleet-2x320M`` times ``n_arrivals``. ``fleet-4x320M`` is gated
+    on *shape*: it runs ``shape_rungs`` (small, large) arrivals and
+    fails when ms/arrival at the large rung exceeds
+    :data:`CLUSTER_SHAPE_MAX_RATIO` times the small rung's — the
+    signature of a queue drain that grows with the queue. Every run is
+    a fresh simulator that profiles its apps, as a ``repro-cluster``
+    invocation does.
     """
     from repro.cluster import ArrivalStream, ClusterSim, make_fleet
 
-    fleet = make_fleet(2, 320 * MIB)
-    stream = ArrivalStream(
-        seed=seed,
-        n_arrivals=n_arrivals,
-        rate=0.2,
-        mix=("phaseshift", "minife", "cgpop"),
-    )
+    def timed(scenario: str, n_nodes: int, n: int) -> float:
+        """Record one fleet run; returns its seconds per arrival."""
+        fleet = make_fleet(n_nodes, 320 * MIB)
+        stream = ArrivalStream(
+            seed=seed,
+            n_arrivals=n,
+            rate=0.2,
+            mix=("phaseshift", "minife", "cgpop"),
+        )
+        seconds, run_report = _time(
+            lambda: ClusterSim(fleet, stream).run(), repeats
+        )
+        if run_report.aggregate_fom > run_report.aggregate_fom_isolated:
+            raise ReproError(
+                "cluster bench: aggregate FOM exceeds the isolated bound "
+                "(contention not charged)"
+            )
+        if not 0.0 <= run_report.fairness <= 1.0:
+            raise ReproError(
+                f"cluster bench: fairness {run_report.fairness} outside [0,1]"
+            )
+        report.record(
+            BenchRecord(
+                stage="cluster_schedule",
+                scenario=scenario,
+                mode=report.mode,
+                n=n,
+                seconds=seconds,
+                throughput=n / seconds,
+            )
+        )
+        return seconds / n
 
-    def run():
-        sim = ClusterSim(fleet, stream)
-        return sim.run()
-
-    seconds, run_report = _time(run, repeats)
-    if run_report.aggregate_fom > run_report.aggregate_fom_isolated:
+    timed("fleet-2x320M", 2, n_arrivals)
+    small, large = shape_rungs
+    small_s = timed(f"fleet-4x320M-n{small}", 4, small)
+    ratio = timed(f"fleet-4x320M-n{large}", 4, large) / small_s
+    if ratio > CLUSTER_SHAPE_MAX_RATIO:
         raise ReproError(
-            "cluster bench: aggregate FOM exceeds the isolated bound "
-            "(contention not charged)"
+            f"cluster bench: ms/arrival grew {ratio:.2f}x from {small} to "
+            f"{large} arrivals on fleet-4x320M (allowed "
+            f"{CLUSTER_SHAPE_MAX_RATIO}x)"
         )
-    if not 0.0 <= run_report.fairness <= 1.0:
-        raise ReproError(
-            f"cluster bench: fairness {run_report.fairness} outside [0,1]"
-        )
-    report.record(
-        BenchRecord(
-            stage="cluster_schedule",
-            scenario="fleet-2x320M",
-            mode=report.mode,
-            n=n_arrivals,
-            seconds=seconds,
-            throughput=n_arrivals / seconds,
-        )
-    )
 
 
 class _SweepBenchApp(CGPOP):
@@ -836,9 +864,12 @@ def run_bench(
     )
     n_windows = 2_000 if quick else 20_000
     _bench_windowed_scoring(report, n_windows, seed, repeats)
-    n_arrivals = 24 if quick else 96
     _bench_cluster_schedule(
-        report, n_arrivals, seed, repeats=1 if quick else min(repeats, 3)
+        report,
+        n_arrivals=24 if quick else 96,
+        shape_rungs=(100, 800) if quick else (100, 1600),
+        seed=seed,
+        repeats=1 if quick else min(repeats, 3),
     )
     n_misses = 500_000 if quick else 2_000_000
     _bench_profile_analyze(report, n_misses, seed, repeats)

@@ -45,6 +45,11 @@ class ExtentAllocator:
     the fragmentation metric: ``1 - largest_free / total_free`` is 0
     when every free byte is reachable by one allocation and approaches
     1 as churn shatters the space.
+
+    ``largest_free`` is cached: every admission check in the scheduler
+    reads it, while only :meth:`alloc`, :meth:`free`, :meth:`reset`
+    and :meth:`restore` change the holes, so those invalidate (or set)
+    the cache and the next read rescans once.
     """
 
     def __init__(self, total: int) -> None:
@@ -53,6 +58,8 @@ class ExtentAllocator:
         self.total = total
         #: Sorted disjoint free holes as (offset, size).
         self._free: list[tuple[int, int]] = [(0, total)]
+        #: Size of the largest hole, or ``None`` when it must be rescanned.
+        self._largest: int | None = total
 
     def alloc(self, size: int) -> Extent | None:
         """Carve ``size`` bytes out of the first hole that fits."""
@@ -64,6 +71,7 @@ class ExtentAllocator:
                     del self._free[i]
                 else:
                     self._free[i] = (offset + size, hole - size)
+                self._largest = None
                 return Extent(offset=offset, size=size)
         return None
 
@@ -87,6 +95,7 @@ class ExtentAllocator:
             else:
                 merged.append((o, s))
         self._free = merged
+        self._largest = None
 
     @property
     def total_free(self) -> int:
@@ -94,7 +103,9 @@ class ExtentAllocator:
 
     @property
     def largest_free(self) -> int:
-        return max((s for _, s in self._free), default=0)
+        if self._largest is None:
+            self._largest = max((s for _, s in self._free), default=0)
+        return self._largest
 
     @property
     def fragmentation(self) -> float:
@@ -116,6 +127,7 @@ class ExtentAllocator:
         extents one by one, because the extents died with the node.
         """
         self._free = [(0, self.total)]
+        self._largest = self.total
 
     @classmethod
     def restore(
@@ -146,6 +158,7 @@ class ExtentAllocator:
             free.append((offset, size))
             last_end = offset + size
         allocator._free = free
+        allocator._largest = None
         return allocator
 
 

@@ -38,7 +38,11 @@ class NodeView(Protocol):
 
 #: A policy maps (nodes in declaration order, minimum grant) to the
 #: chosen node or None. Declaration order is the deterministic
-#: tie-break everywhere.
+#: tie-break everywhere. Contract: the answer is None or one of the
+#: given nodes whose ``largest_free`` reaches the grant — so None
+#: whenever no node's hole does. The simulator raises ConfigError on
+#: a violation and relies on the contract to skip asking a policy
+#: about requests no hole can admit.
 SchedulerPolicy = Callable[[list, int], "object | None"]
 
 

@@ -282,6 +282,8 @@ class ClusterSim:
         #: strategy); memoised so churny fleets stay cheap.
         self._sites_cache: dict[tuple[str, str, int, str], frozenset[str]] = {}
         self._models: dict[str, ExecutionModel] = {}
+        #: Admission bar per demand (see :meth:`_admission_bar`).
+        self._bars: dict[int, int] = {}
 
     # -- shared per-app machinery ---------------------------------------
 
@@ -354,6 +356,20 @@ class ClusterSim:
 
     def _min_grant(self, request: JobRequest) -> int:
         return max(1, int(request.hbw_demand * self.min_grant_fraction))
+
+    def _admission_bar(self, request: JobRequest) -> int:
+        """The smallest hole that can admit ``request``: its minimum
+        grant, or the backpressure down-grant when that is smaller.
+        Pure in the demand, so memoised per demand."""
+        demand = request.hbw_demand
+        bar = self._bars.get(demand)
+        if bar is None:
+            bar = self._min_grant(request)
+            reduced = self.backpressure.down_grant(demand)
+            if reduced is not None and reduced < bar:
+                bar = reduced
+            self._bars[demand] = bar
+        return bar
 
     def _up_nodes(self) -> list[NodeState]:
         """Nodes a scheduler policy may admit into (declaration
@@ -447,16 +463,40 @@ class ClusterSim:
                 )
         return tenant
 
+    def _choose(self, nodes: list[NodeState], bar: int) -> NodeState | None:
+        """Ask the policy for a node, holding it to its contract: it
+        answers ``None`` or one of ``nodes`` whose largest hole reaches
+        ``bar``. A violation is a configuration error, not a silent
+        under-grant."""
+        node = self.scheduler(nodes, bar)
+        if node is None:
+            return None
+        name = getattr(node, "name", node)
+        hole = getattr(node, "largest_free", None)
+        if not any(n is node for n in nodes):
+            raise ConfigError(
+                f"scheduler {self.scheduler_name!r} returned node "
+                f"{name!r} (largest hole {hole}) for bar {bar}, but it is "
+                f"not one of the {len(nodes)} nodes it was given"
+            )
+        if hole < bar:
+            raise ConfigError(
+                f"scheduler {self.scheduler_name!r} returned node "
+                f"{name!r} whose largest hole {hole} is below the bar "
+                f"{bar}; a policy must return None when no node fits"
+            )
+        return node
+
     def _select_node(self, request: JobRequest) -> NodeState | None:
         """Pick a home for the request — at the normal minimum grant
         first, then (if backpressure allows) at the down-granted bar."""
         eligible = self._up_nodes()
-        node = self.scheduler(eligible, self._min_grant(request))
+        node = self._choose(eligible, self._min_grant(request))
         if node is not None:
             return node
         reduced = self.backpressure.down_grant(request.hbw_demand)
         if reduced is not None and reduced < self._min_grant(request):
-            node = self.scheduler(eligible, reduced)
+            node = self._choose(eligible, reduced)
             if node is not None:
                 self._log(
                     f"downgrant job={request.job_id} "
@@ -494,12 +534,28 @@ class ClusterSim:
             )
         return False
 
+    def _fleet_hole(self) -> int:
+        """Largest hole on any node a policy may admit into."""
+        return max((n.largest_free for n in self._up_nodes()), default=0)
+
     def _drain_queue(self) -> None:
-        """FIFO pass over waiting jobs after capacity was freed."""
+        """FIFO pass over waiting jobs after capacity was freed.
+
+        A request whose admission bar exceeds the fleet's largest hole
+        is passed over without asking the policy: under the contract
+        :meth:`_choose` enforces, the policy must answer ``None``, and a
+        queued attempt that fails logs and changes nothing, so the
+        journal is the same as trying every request.
+        """
+        hole = self._fleet_hole()
         still_waiting: list[JobRequest] = []
         for request in self.queue:
-            if not self._try_admit(request, queued=True):
+            if self._admission_bar(request) > hole or not self._try_admit(
+                request, queued=True
+            ):
                 still_waiting.append(request)
+            else:
+                hole = self._fleet_hole()
         self.queue = still_waiting
 
     def _shed_overdue(self) -> None:
@@ -650,7 +706,7 @@ class ClusterSim:
             for n in self._up_nodes()
             if budgets.get(n.name) is None or budgets[n.name] >= min_grant
         ]
-        target = self.scheduler(candidates, min_grant)
+        target = self._choose(candidates, min_grant)
         if target is None:
             return False
         budget_left = budgets.get(target.name)

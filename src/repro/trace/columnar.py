@@ -18,17 +18,10 @@ Round-trips are lossless in both directions
 (:meth:`ColumnarTrace.from_tracefile` / :meth:`to_tracefile`), so the
 columnar form is a *view* discipline, not a fork of the format.
 
-On disk the trace has two containers with identical information and
-identical validation. The default is one ``.npz`` member archive: the
-event columns, the static-variable columns, a JSON ``header`` member
-carrying the scalars and interned tables, and a JSON ``manifest``
-member with a CRC-32 per member. The second (:meth:`ColumnarTrace.
-save_dir`) is the *uncompressed directory container* — one plain
-``.npy`` file per column plus ``header.json``/``manifest.json`` —
-the mmap-able variant, since zip-packed ``np.savez`` members cannot be
-memory-mapped. ``load(..., mmap=True)`` hands out read-only
-memory-mapped columns from a directory container; the page cache then
-shares one physical copy across every process on the host.
+On disk the trace is one ``.npz`` member archive: the event columns,
+the static-variable columns, a JSON ``header`` member carrying the
+scalars and interned tables, and a JSON ``manifest`` member with a
+CRC-32 per member.
 
 Like the JSONL path, loads are strict by default (first damaged member
 raises :class:`~repro.errors.TraceError`) and ``salvage=True``
@@ -72,10 +65,6 @@ KIND_PHASE = 3
 NO_LATENCY = -1
 
 _SCHEMA = "repro-columnar/1"
-
-#: JSON member file names of the uncompressed directory container.
-_DIR_HEADER = "header.json"
-_DIR_MANIFEST = "manifest.json"
 
 #: Per-event columns (one entry per trace event each).
 EVENT_COLUMNS = (
@@ -418,76 +407,9 @@ class ColumnarTrace:
         """Write the binary trace atomically (temp file + rename)."""
         atomic_write_bytes(path, self.to_bytes())
 
-    def save_dir(self, path: str | Path) -> None:
-        """Write the uncompressed directory container (mmap-able).
-
-        Same information as :meth:`save`, laid out as one plain
-        ``.npy`` file per column plus ``header.json`` and
-        ``manifest.json``, so :meth:`load` with ``mmap=True`` can hand
-        out read-only memory-mapped columns (zip-packed ``.npz``
-        members cannot be memory-mapped). Each member write is atomic
-        and the manifest lands last, so a torn writer leaves a
-        container the loader rejects (strict) or salvages — never one
-        it silently misreads.
-        """
-        path = Path(path)
-        path.mkdir(parents=True, exist_ok=True)
-        header = json.dumps(
-            self._header_dict(), sort_keys=True, separators=(",", ":")
-        ).encode()
-        columns = self._columns()
-        crcs = {
-            name: zlib.crc32(np.ascontiguousarray(arr).tobytes())
-            for name, arr in columns.items()
-        }
-        crcs["header"] = zlib.crc32(header)
-        manifest = json.dumps(
-            {"schema": _SCHEMA, "crc": crcs},
-            sort_keys=True,
-            separators=(",", ":"),
-        ).encode()
-        for name, arr in columns.items():
-            buf = io.BytesIO()
-            np.save(buf, np.ascontiguousarray(arr))
-            atomic_write_bytes(path / f"{name}.npy", buf.getvalue())
-        atomic_write_bytes(path / _DIR_HEADER, header)
-        atomic_write_bytes(path / _DIR_MANIFEST, manifest)
-
-    @staticmethod
-    def _read_dir_members(path: Path, mmap: bool) -> dict[str, np.ndarray]:
-        """Read the directory container's members into the same shape
-        the archive loader produces. Missing or unreadable members are
-        simply absent — the shared validation body then applies the
-        identical strict/salvage rules for both containers."""
-        members: dict[str, np.ndarray] = {}
-        for name in _COLUMN_DTYPES:
-            member = path / f"{name}.npy"
-            try:
-                members[name] = np.load(
-                    member,
-                    mmap_mode="r" if mmap else None,
-                    allow_pickle=False,
-                )
-            except (OSError, ValueError):
-                continue
-        for filename in (_DIR_HEADER, _DIR_MANIFEST):
-            try:
-                data = (path / filename).read_bytes()
-            except OSError:
-                continue
-            members[filename.removesuffix(".json")] = np.frombuffer(
-                data, dtype=np.uint8
-            )
-        return members
-
     @classmethod
-    def load(
-        cls,
-        path: str | Path,
-        salvage: bool = False,
-        mmap: bool = False,
-    ) -> "ColumnarTrace":
-        """Read a binary columnar trace back (either container).
+    def load(cls, path: str | Path, salvage: bool = False) -> "ColumnarTrace":
+        """Read a binary columnar trace back.
 
         Strict mode (default) raises :class:`TraceError` on any
         missing, checksum-failing or mis-shaped member. ``salvage=True``
@@ -497,27 +419,13 @@ class ColumnarTrace:
         attached :class:`SalvageReport`. A damaged/missing header or
         manifest is fatal either way, since nothing can be attributed
         without the interned tables.
-
-        ``mmap=True`` (directory container only) returns read-only
-        memory-mapped columns instead of eager copies: loads share one
-        page-cache copy per host and writes through the arrays raise.
-        Checksums are verified either way.
         """
         path = Path(path)
-        if path.is_dir():
-            members = cls._read_dir_members(path, mmap=mmap)
-        else:
-            if mmap:
-                raise TraceError(
-                    f"{path}: mmap=True requires the directory "
-                    "container (save_dir); zip-packed .npz members "
-                    "cannot be memory-mapped"
-                )
-            try:
-                with np.load(path, allow_pickle=False) as npz:
-                    members = {name: npz[name] for name in npz.files}
-            except (OSError, ValueError, zipfile.BadZipFile, KeyError) as exc:
-                raise TraceError(f"{path}: unreadable columnar trace: {exc}")
+        try:
+            with np.load(path, allow_pickle=False) as npz:
+                members = {name: npz[name] for name in npz.files}
+        except (OSError, ValueError, zipfile.BadZipFile, KeyError) as exc:
+            raise TraceError(f"{path}: unreadable columnar trace: {exc}")
         try:
             manifest = json.loads(bytes(members.pop("manifest").tobytes()))
             crcs = dict(manifest["crc"])
@@ -668,24 +576,12 @@ class ColumnarTrace:
         return trace
 
 
-def is_columnar_dir(path: str | Path) -> bool:
-    """Sniff whether ``path`` is an uncompressed directory container."""
-    path = Path(path)
-    try:
-        return path.is_dir() and (path / _DIR_MANIFEST).is_file()
-    except OSError:
-        return False
-
-
 def is_columnar_trace(path: str | Path) -> bool:
     """Sniff whether ``path`` holds a binary columnar trace.
 
     ``.npz`` archives are zip files; the JSONL format never starts
-    with the zip magic, so four bytes decide. A directory holding a
-    ``manifest.json`` is the uncompressed container.
+    with the zip magic, so four bytes decide.
     """
-    if is_columnar_dir(path):
-        return True
     try:
         with open(path, "rb") as fh:
             return fh.read(4) == b"PK\x03\x04"
@@ -694,13 +590,9 @@ def is_columnar_trace(path: str | Path) -> bool:
 
 
 def load_any_trace(
-    path: str | Path, salvage: bool = False, mmap: bool = False
+    path: str | Path, salvage: bool = False
 ) -> "TraceFile | ColumnarTrace":
     """Load any trace container, deciding by content, not extension."""
     if is_columnar_trace(path):
-        return ColumnarTrace.load(path, salvage=salvage, mmap=mmap)
-    if mmap:
-        raise TraceError(
-            f"{path}: mmap=True requires a columnar directory container"
-        )
+        return ColumnarTrace.load(path, salvage=salvage)
     return TraceFile.load(path, salvage=salvage)

@@ -163,6 +163,49 @@ class TestRegressionGate:
             compare_baseline(BenchReport(), BenchReport(), -0.1)
 
 
+class TestClusterShapeGate:
+    """The fleet-4x320M stage fails when ms/arrival grows with the
+    arrival count (a stand-in simulator controls the cost curve)."""
+
+    @staticmethod
+    def _run(monkeypatch, seconds_for):
+        import time
+        from types import SimpleNamespace
+
+        import repro.cluster
+        from repro.bench.harness import _bench_cluster_schedule
+
+        class TimedSim:
+            def __init__(self, fleet, stream):
+                self.n = stream.n_arrivals
+
+            def run(self):
+                time.sleep(seconds_for(self.n))
+                return SimpleNamespace(
+                    aggregate_fom=1.0, aggregate_fom_isolated=1.0,
+                    fairness=1.0,
+                )
+
+        monkeypatch.setattr(repro.cluster, "ClusterSim", TimedSim)
+        report = BenchReport(mode="quick")
+        _bench_cluster_schedule(
+            report, n_arrivals=2, shape_rungs=(4, 16), seed=0, repeats=1
+        )
+        return report
+
+    def test_linear_cost_passes(self, monkeypatch):
+        report = self._run(monkeypatch, lambda n: n * 1e-3)
+        assert [r.scenario for r in report.records] == [
+            "fleet-2x320M", "fleet-4x320M-n4", "fleet-4x320M-n16",
+        ]
+
+    def test_quadratic_cost_fails(self, monkeypatch):
+        with pytest.raises(
+            ReproError, match=r"grew \d+\.\d\dx from 4 to 16 arrivals"
+        ):
+            self._run(monkeypatch, lambda n: n * n * 2e-4)
+
+
 class TestCommittedBaseline:
     def _load(self, name):
         from pathlib import Path
@@ -216,3 +259,35 @@ class TestCommittedBaseline:
             r.stage == "sweep_worker_rss" or r.scenario.startswith("plane")
             for r in report.records
         )
+
+    def test_bench_pr13_meets_acceptance(self):
+        """The committed trajectory records the 4-node cluster fleet at
+        100 and 1,600 arrivals (quick: 100 and 800) with ms/arrival
+        growing at most 1.5x between the rungs, keeps the 2-node
+        fleet, and carries quick records for every stage the CI gate
+        tracks."""
+        from repro.bench.harness import CLUSTER_SHAPE_MAX_RATIO
+
+        report = self._load("BENCH_PR13.json")
+        by_key = {r.key: r for r in report.records}
+        for mode, large in (("full", 1600), ("quick", 800)):
+            small_rec = by_key[
+                ("cluster_schedule", "fleet-4x320M-n100", mode)
+            ]
+            large_rec = by_key[
+                ("cluster_schedule", f"fleet-4x320M-n{large}", mode)
+            ]
+            assert (small_rec.n, large_rec.n) == (100, large)
+            ratio = (large_rec.seconds / large_rec.n) / (
+                small_rec.seconds / small_rec.n
+            )
+            assert ratio <= CLUSTER_SHAPE_MAX_RATIO, (mode, ratio)
+            assert ("cluster_schedule", "fleet-2x320M", mode) in by_key
+        quick_keys = {r.key for r in report.records if r.mode == "quick"}
+        for key in (
+            ("pebs_sampler", "uniform", "quick"),
+            ("profile_analyze", "benchsweep", "quick"),
+            ("sweep_throughput", "serial-jobs1", "quick"),
+            ("sweep_throughput", "pool-jobs4", "quick"),
+        ):
+            assert key in quick_keys, key

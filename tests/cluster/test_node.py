@@ -11,6 +11,13 @@ from repro.errors import ConfigError
 from repro.units import GIB, MIB
 
 
+def assert_cached_hole(alloc: ExtentAllocator) -> None:
+    """The cached largest hole equals a fresh scan of the free list."""
+    assert alloc.largest_free == max(
+        (s for _, s in alloc.holes()), default=0
+    )
+
+
 class TestExtentAllocator:
     def test_first_fit_carves_from_the_front(self):
         alloc = ExtentAllocator(100)
@@ -86,8 +93,10 @@ class TestExtentAllocator:
     def test_random_interleaving_invariants(self, ops):
         """Arbitrary alloc/free interleavings: live extents never
         overlap, extents + holes always tile [0, total) exactly, the
-        fragmentation metric stays inside [0, 1), and freeing every
-        survivor recovers the single maximal hole."""
+        fragmentation metric stays inside [0, 1), the cached largest
+        hole matches a rescan after every op (and after a ``restore``
+        round-trip and a ``reset``), and freeing every survivor
+        recovers the single maximal hole."""
         total = 1000
         alloc = ExtentAllocator(total)
         live: list = []
@@ -109,10 +118,19 @@ class TestExtentAllocator:
             assert cursor == total
             assert 0.0 <= alloc.fragmentation < 1.0
             assert alloc.largest_free <= alloc.total_free
+            assert_cached_hole(alloc)
+            restored = ExtentAllocator.restore(total, alloc.holes())
+            assert_cached_hole(restored)
+            assert restored.holes() == alloc.holes()
         for extent in live:
             alloc.free(extent)
+            assert_cached_hole(alloc)
         assert alloc.holes() == ((0, total),)
         assert alloc.fragmentation == 0.0
+        alloc.alloc(total // 3)
+        assert_cached_hole(alloc)
+        alloc.reset()
+        assert_cached_hole(alloc)
 
     def test_double_free_message_is_pinned(self):
         alloc = ExtentAllocator(100)

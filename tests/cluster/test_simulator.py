@@ -211,3 +211,85 @@ class TestSchedulers:
         report = sim.run()
         first = min(report.tenants, key=lambda t: t.admission_time)
         assert first.node == "node00"
+
+
+class TestPolicyContract:
+    """A policy answers ``None`` or one of the nodes it was given whose
+    largest hole reaches the bar; the simulator enforces that where it
+    calls the policy."""
+
+    def test_rogue_policy_ignoring_the_bar_is_rejected(self):
+        """With a 20 MiB hole left and a 40 MiB minimum grant, a policy
+        that always picks the first node would admit the second tenant
+        below its minimum grant."""
+        sim = ClusterSim(
+            make_fleet(1, 100 * MIB),
+            ArrivalStream(
+                seed=0, n_arrivals=4, rate=10.0, mix=MIX,
+                demands=(80 * MIB,),
+            ),
+            scheduler=lambda nodes, bar: nodes[0],
+        )
+        with pytest.raises(
+            ConfigError,
+            match=(
+                rf"scheduler '<lambda>' returned node 'node00' whose "
+                rf"largest hole {20 * MIB} is below the bar {40 * MIB}"
+            ),
+        ):
+            sim.run()
+
+    def test_rogue_policy_with_no_hole_is_rejected(self):
+        sim = ClusterSim(
+            make_fleet(1, 64 * MIB),
+            ArrivalStream(
+                seed=0, n_arrivals=4, rate=10.0, mix=MIX,
+                demands=(64 * MIB,),
+            ),
+            scheduler=lambda nodes, bar: nodes[0],
+        )
+        with pytest.raises(ConfigError, match="largest hole 0 is below"):
+            sim.run()
+
+    def test_policy_returning_a_foreign_node_is_rejected(self):
+        from types import SimpleNamespace
+
+        ghost = SimpleNamespace(name="ghost", largest_free=10**12)
+
+        def rogue(nodes, bar):
+            return ghost
+
+        sim = small_sim(scheduler=rogue)
+        with pytest.raises(
+            ConfigError,
+            match=(
+                r"scheduler 'rogue' returned node 'ghost' .* not one of "
+                r"the 2 nodes it was given"
+            ),
+        ):
+            sim.run()
+
+    def test_rescue_holds_the_policy_to_the_bar(self):
+        """A crash victim is re-homed through the same check: the
+        surviving node is full, and a policy that returns it anyway
+        fails loudly instead of under-granting the rescue."""
+        from repro.cluster.arrivals import JobRequest
+
+        def first_or_any(nodes, bar):
+            fitting = [n for n in nodes if n.largest_free >= bar]
+            return fitting[0] if fitting else (nodes[0] if nodes else None)
+
+        sim = small_sim(budget=64 * MIB, scheduler=first_or_any)
+        for job_id in range(2):
+            sim._try_admit(
+                JobRequest(
+                    job_id=job_id, app="minife", arrival_time=0.0,
+                    hbw_demand=64 * MIB,
+                ),
+                queued=False,
+            )
+        assert [n.n_tenants for n in sim.nodes] == [1, 1]
+        with pytest.raises(
+            ConfigError, match=r"returned node 'node01' whose largest hole 0"
+        ):
+            sim._on_node_crash("node00")

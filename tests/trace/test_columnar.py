@@ -271,95 +271,6 @@ def row_traces(draw) -> TraceFile:
     )
 
 
-def _corrupt_dir_member(path: Path, member: str) -> None:
-    """Flip the last byte of one directory-container member."""
-    suffix = "" if member in ("header", "manifest") else ".npy"
-    name = {"header": "header.json", "manifest": "manifest.json"}.get(
-        member, f"{member}{suffix}"
-    )
-    target = path / name
-    data = target.read_bytes()
-    target.write_bytes(data[:-1] + bytes([data[-1] ^ 0xFF]))
-
-
-class TestDirContainer:
-    @pytest.fixture()
-    def saved_dir(self, tmp_path):
-        path = tmp_path / "run.trace"
-        ColumnarTrace.from_tracefile(_trace()).save_dir(path)
-        return path
-
-    def test_dir_round_trip(self, saved_dir):
-        assert ColumnarTrace.load(saved_dir).to_tracefile() == _trace()
-
-    def test_mmap_load_bit_identical_to_eager(self, saved_dir):
-        eager = ColumnarTrace.load(saved_dir)
-        lazy = ColumnarTrace.load(saved_dir, mmap=True)
-        lazy_columns = lazy._columns()
-        for name, column in eager._columns().items():
-            assert np.array_equal(column, lazy_columns[name]), name
-        assert lazy.to_tracefile() == eager.to_tracefile()
-
-    def test_mmap_views_reject_writes(self, saved_dir):
-        lazy = ColumnarTrace.load(saved_dir, mmap=True)
-        with pytest.raises(ValueError):
-            lazy.addresses[0] = 0
-
-    def test_mmap_requires_dir_container(self, tmp_path):
-        npz = tmp_path / "run.npz"
-        ColumnarTrace.from_tracefile(_trace()).save(npz)
-        with pytest.raises(TraceError, match="directory container"):
-            ColumnarTrace.load(npz, mmap=True)
-
-    def test_sniffing_and_dispatch(self, saved_dir, tmp_path):
-        assert is_columnar_trace(saved_dir)
-        loaded = load_any_trace(saved_dir, mmap=True)
-        assert isinstance(loaded, ColumnarTrace)
-        assert loaded.to_tracefile() == _trace()
-        jsonl = tmp_path / "t.jsonl"
-        _trace().save(jsonl)
-        with pytest.raises(TraceError, match="mmap"):
-            load_any_trace(jsonl, mmap=True)
-
-    @pytest.mark.parametrize("mmap", [False, True])
-    def test_strict_rejects_corrupt_core_column(self, saved_dir, mmap):
-        _corrupt_dir_member(saved_dir, "addresses")
-        with pytest.raises(TraceError, match="checksum mismatch"):
-            ColumnarTrace.load(saved_dir, mmap=mmap)
-
-    def test_strict_rejects_missing_member(self, saved_dir):
-        (saved_dir / "times.npy").unlink()
-        with pytest.raises(TraceError, match="member missing"):
-            ColumnarTrace.load(saved_dir)
-
-    @pytest.mark.parametrize("mmap", [False, True])
-    def test_salvage_parity_with_npz(self, saved_dir, mmap):
-        """Dir-container salvage degrades exactly like the npz path."""
-        _corrupt_dir_member(saved_dir, "addresses")
-        trace = ColumnarTrace.load(saved_dir, salvage=True, mmap=mmap)
-        assert trace.n_events == 0
-        assert trace.n_statics == 1
-        assert trace.salvage is not None and not trace.salvage.clean
-        assert trace.salvage.lost_records == 6
-
-    def test_salvage_latency_damage_keeps_samples(self, saved_dir):
-        _corrupt_dir_member(saved_dir, "latencies")
-        trace = ColumnarTrace.load(saved_dir, salvage=True)
-        assert trace.n_events == 6
-        assert np.all(trace.latencies == NO_LATENCY)
-        assert trace.salvage.damaged_lines == 1
-
-    def test_header_damage_fatal_even_in_salvage(self, saved_dir):
-        _corrupt_dir_member(saved_dir, "header")
-        with pytest.raises(TraceError, match="header"):
-            ColumnarTrace.load(saved_dir, salvage=True)
-
-    def test_manifest_missing_fatal_even_in_salvage(self, saved_dir):
-        (saved_dir / "manifest.json").unlink()
-        with pytest.raises(TraceError, match="manifest"):
-            ColumnarTrace.load(saved_dir, salvage=True)
-
-
 class TestRoundTripProperty:
     @settings(max_examples=80, deadline=None)
     @given(trace=row_traces())
