@@ -26,12 +26,14 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
 
 from repro.errors import WorkloadError
-from repro.runtime.process import SimProcess
+from repro.runtime.allocator import Allocation
+from repro.runtime.process import Context, SimProcess
 from repro.runtime.symbols import FunctionSymbol, ModuleImage
 from repro.trace.columnar import ColumnarTrace
 from repro.trace.tracer import Tracer, TracerConfig
@@ -278,6 +280,123 @@ class ReplayResult:
         return sum(1 for a in served if a == fast_allocator) / len(served)
 
 
+@dataclass(frozen=True, slots=True)
+class _ReplaySite:
+    """One dynamic allocation site compiled for the timeline."""
+
+    name: str
+    #: Whole call context, root (``main``) first.
+    context: Context
+    #: Simulated bytes per instance.
+    size: int
+    count: int
+
+
+#: Pieces each array is cut into by the round-robin miss-stream merge.
+INTERLEAVE_CHUNKS = 8
+
+
+def round_robin_order(sizes: tuple[int, ...]) -> np.ndarray:
+    """Gather index of the deterministic round-robin merge.
+
+    Each of the arrays (lengths ``sizes``, concatenated in order) is
+    cut into ``INTERLEAVE_CHUNKS`` contiguous pieces, the first
+    ``size % INTERLEAVE_CHUNKS`` of them one element longer; the merge
+    takes the pieces chunk by chunk, array by array.
+    ``np.concatenate(arrays)[order]`` is that merge, and it keeps every
+    array's own order.
+    """
+    pieces: list[np.ndarray] = []
+    offsets = list(accumulate(sizes, initial=0))
+    for chunk in range(INTERLEAVE_CHUNKS):
+        for offset, size in zip(offsets, sizes):
+            q, r = divmod(size, INTERLEAVE_CHUNKS)
+            start = offset + chunk * q + min(chunk, r)
+            pieces.append(np.arange(start, start + q + (chunk < r)))
+    if not pieces:
+        return np.zeros(0, dtype=np.int64)
+    return np.concatenate(pieces)
+
+
+class WindowStreams:
+    """What one profiling run's window miss streams share.
+
+    The touch sets are drawn once per run. Per phase, the objects a
+    window touches with their misses per window, and the phase's stack
+    misses, are fixed by the inventory. Per window composition (which
+    sites contribute how many misses), the round-robin gather index
+    and the merged latency column are fixed too. All of it is computed
+    on first use and dropped with the run.
+    """
+
+    def __init__(
+        self,
+        app: "SimApplication",
+        touch_sets: dict[str, np.ndarray],
+        stack_touch: np.ndarray,
+    ) -> None:
+        self.app = app
+        self.touch_sets = touch_sets
+        self.stack_touch = stack_touch
+        #: Per-miss latency in cycles by site name (stack included).
+        self.latency_cycles = {
+            o.name: o.pattern.latency_cycles for o in app.objects
+        }
+        self.latency_cycles["<stack>"] = STACK_LATENCY_CYCLES
+        self._per_iteration = app._misses_per_iteration()
+        self._phases: dict[
+            PhaseSpec, tuple[tuple[tuple[ObjectSpec, int], ...], int]
+        ] = {}
+        self._merges: dict[
+            tuple[tuple[str, int], ...], tuple[np.ndarray, np.ndarray]
+        ] = {}
+
+    def phase(
+        self, phase: PhaseSpec
+    ) -> tuple[tuple[tuple[ObjectSpec, int], ...], int]:
+        """``((spec, misses per window), ...)`` over the objects
+        ``phase`` touches with a non-zero share, and its stack misses."""
+        plan = self._phases.get(phase)
+        if plan is None:
+            app = self.app
+            sites = []
+            for spec in app.objects:
+                if not spec.touches(phase.function):
+                    continue
+                n = self._per_iteration[spec.name] // max(
+                    app._touching_phase_count(spec), 1
+                )
+                if n:
+                    sites.append((spec, n))
+            n_stack = int(
+                round(
+                    app._stack_misses_per_iteration()
+                    * app._stack_share_of_phase(phase)
+                )
+            )
+            plan = self._phases[phase] = (tuple(sites), n_stack)
+        return plan
+
+    def merge(self, counts: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
+        """Gather index and merged (read-only) latency column of a
+        window whose arrays hold ``counts`` misses, in order."""
+        key = tuple(counts.items())
+        merged = self._merges.get(key)
+        if merged is None:
+            sizes = tuple(counts.values())
+            order = round_robin_order(sizes)
+            latencies = np.repeat(
+                np.array(
+                    [self.latency_cycles[site] for site in counts],
+                    dtype=np.int64,
+                ),
+                sizes,
+            )[order]
+            latencies.setflags(write=False)
+            merged = self._merges[key] = (order, latencies)
+        return merged
+
+
 class SimApplication:
     """Base class: subclasses fill the class attributes below."""
 
@@ -488,26 +607,21 @@ class SimApplication:
     # allocation timeline
     # ------------------------------------------------------------------
 
-    def _alloc_instance(self, process: SimProcess, spec: ObjectSpec) -> int:
-        """Perform one allocation with the spec's call context."""
-        from contextlib import ExitStack
+    def _replay_site(self, spec: ObjectSpec) -> _ReplaySite:
+        module = self.module_name
+        return _ReplaySite(
+            name=spec.name,
+            context=((module, "main", 1),)
+            + tuple((module, fn, line) for fn, line in spec.callstack),
+            size=self.scaled(spec.size),
+            count=spec.count,
+        )
 
-        with ExitStack() as stack:
-            stack.enter_context(process.in_function(self.module_name, "main", 1))
-            for fn, line in spec.callstack:
-                stack.enter_context(
-                    process.in_function(self.module_name, fn, line)
-                )
-            return process.malloc(self.scaled(spec.size))
-
-    def _persistent_specs(self) -> list[ObjectSpec]:
-        return [o for o in self.objects if not o.static and not o.churn]
-
-    def _churn_specs(self, phase_function: str) -> list[ObjectSpec]:
-        return [o for o in self.objects if o.churn_phase == phase_function]
-
-    def _static_specs(self) -> list[ObjectSpec]:
-        return [o for o in self.objects if o.static]
+    @staticmethod
+    def _alloc_instance(process: SimProcess, site: _ReplaySite) -> Allocation:
+        """Perform one allocation with the site's whole call context."""
+        with process.in_context(site.context):
+            return process.malloc_record(site.size)
 
     def run_timeline(
         self,
@@ -531,28 +645,46 @@ class SimApplication:
         placements: dict[str, list[str]] = {o.name: [] for o in self.objects}
         live: dict[str, int] = {}
 
+        # Compile the timeline once: the sites each step allocates,
+        # with their scaled sizes and whole call contexts.
+        init_sites = [
+            self._replay_site(o)
+            for o in self.objects
+            if not o.static and not o.churn
+        ]
+        phase_plan = [
+            (
+                phase,
+                phase.duration_fraction * iter_span,
+                [
+                    self._replay_site(o)
+                    for o in self.objects
+                    if o.churn_phase == phase.function
+                ],
+            )
+            for phase in self.phases
+        ]
+
         # Statics are "placed" at load time by definition.
-        for spec in self._static_specs():
-            placements[spec.name].append("static")
+        for spec in self.objects:
+            if spec.static:
+                placements[spec.name].append("static")
 
         # Init-time allocations, in inventory order (this order is what
         # numactl's FCFS policy consumes).
-        init_specs = self._persistent_specs()
-        for j, spec in enumerate(init_specs):
+        for j, site in enumerate(init_sites):
             process.advance(
                 max(
                     0.0,
-                    t_init_end * (j + 1) / (len(init_specs) + 1)
+                    t_init_end * (j + 1) / (len(init_sites) + 1)
                     - process.clock,
                 )
             )
-            address = 0
-            for _ in range(spec.count):
-                address = self._alloc_instance(process, spec)
-                placements[spec.name].append(
-                    self._serving_allocator(process, address)
-                )
-            live[spec.name] = address  # last instance's base
+            served = placements[site.name]
+            for _ in range(site.count):
+                alloc = self._alloc_instance(process, site)
+                served.append(alloc.allocator)
+            live[site.name] = alloc.address  # last instance's base
 
         process.advance(max(0.0, t_init_end - process.clock))
 
@@ -560,17 +692,14 @@ class SimApplication:
             t0 = t_init_end + it * iter_span
             process.advance(max(0.0, t0 - process.clock))
             t_cursor = t0
-            for phase in self.phases:
-                span = phase.duration_fraction * iter_span
+            for phase, span, churn_sites in phase_plan:
                 t_p0, t_p1 = t_cursor, t_cursor + span
                 churn_here: list[tuple[str, int]] = []
-                for spec in self._churn_specs(phase.function):
-                    address = self._alloc_instance(process, spec)
-                    placements[spec.name].append(
-                        self._serving_allocator(process, address)
-                    )
-                    churn_here.append((spec.name, address))
-                    live[spec.name] = address
+                for site in churn_sites:
+                    alloc = self._alloc_instance(process, site)
+                    placements[site.name].append(alloc.allocator)
+                    churn_here.append((site.name, alloc.address))
+                    live[site.name] = alloc.address
                 if on_phase is not None:
                     on_phase(phase.function, t_p0)
                 if on_window is not None:
@@ -583,13 +712,6 @@ class SimApplication:
                 t_cursor = t_p1
         process.advance(max(0.0, cal.ddr_time - process.clock))
         return placements
-
-    @staticmethod
-    def _serving_allocator(process: SimProcess, address: int) -> str:
-        for allocator in (process.memkind, process.posix):
-            if allocator.live.lookup_base(address) is not None:
-                return allocator.name
-        raise WorkloadError(f"address {address:#x} not live after malloc")
 
     # ------------------------------------------------------------------
     # miss-stream generation
@@ -655,36 +777,6 @@ class SimApplication:
         total = sum(p.duration_fraction for p in eligible)
         return phase.duration_fraction / total
 
-    @classmethod
-    def _interleave_like(
-        cls, companions: list[np.ndarray], arrays: list[np.ndarray],
-        chunks: int = 8,
-    ) -> np.ndarray:
-        """Interleave ``companions`` with the exact permutation
-        :meth:`_interleave` applies to ``arrays`` (pairwise aligned)."""
-        paired = [c for c, a in zip(companions, arrays) if a.size]
-        if not paired:
-            return np.zeros(0, dtype=np.int64)
-        pieces: list[np.ndarray] = []
-        splits = [np.array_split(c, chunks) for c in paired]
-        for chunk in range(chunks):
-            for split in splits:
-                pieces.append(split[chunk])
-        return np.concatenate(pieces)
-
-    @staticmethod
-    def _interleave(arrays: list[np.ndarray], chunks: int = 8) -> np.ndarray:
-        """Deterministic round-robin merge preserving intra-array order."""
-        arrays = [a for a in arrays if a.size]
-        if not arrays:
-            return np.zeros(0, dtype=np.uint64)
-        pieces: list[np.ndarray] = []
-        splits = [np.array_split(a, chunks) for a in arrays]
-        for c in range(chunks):
-            for s in splits:
-                pieces.append(s[c])
-        return np.concatenate(pieces)
-
     def generate_window_stream(
         self,
         phase: PhaseSpec,
@@ -693,20 +785,17 @@ class SimApplication:
         live: dict[str, int],
         statics: dict[str, int],
         stack_base: int,
-        touch_sets: dict[str, np.ndarray],
-        stack_touch: np.ndarray,
+        streams: WindowStreams,
     ) -> tuple[np.ndarray, np.ndarray, dict[str, int], np.ndarray]:
         """Addresses/times/latencies of one (iteration, phase) window's
         misses. Latencies model a Xeon-style PMU; the tracer decides
-        whether to record them."""
-        per_iter = self._misses_per_iteration()
+        whether to record them. The latency column is shared by every
+        window of the same composition and is read-only."""
+        sites, n_stack = streams.phase(phase)
         counts: dict[str, int] = {}
         arrays: list[np.ndarray] = []
-        latency_arrays: list[np.ndarray] = []
 
-        for spec in self.objects:
-            if not spec.touches(phase.function):
-                continue
+        for spec, n in sites:
             base = (
                 statics.get(spec.name)
                 if spec.static
@@ -714,39 +803,23 @@ class SimApplication:
             )
             if base is None:
                 continue
-            n = per_iter[spec.name] // max(self._touching_phase_count(spec), 1)
-            if n == 0:
-                continue
-            offsets = touch_sets[spec.name][:n]
+            offsets = streams.touch_sets[spec.name][:n]
             arrays.append((base + offsets).astype(np.uint64))
-            latency_arrays.append(
-                np.full(offsets.size, spec.pattern.latency_cycles,
-                        dtype=np.int64)
-            )
-            counts[spec.name] = counts.get(spec.name, 0) + int(offsets.size)
+            counts[spec.name] = int(offsets.size)
 
-        n_stack = int(
-            round(
-                self._stack_misses_per_iteration()
-                * self._stack_share_of_phase(phase)
-            )
-        )
         if n_stack > 0:
-            offs = stack_touch[:n_stack]
+            offs = streams.stack_touch[:n_stack]
             arrays.append((stack_base + offs).astype(np.uint64))
-            latency_arrays.append(
-                np.full(offs.size, STACK_LATENCY_CYCLES, dtype=np.int64)
-            )
-            counts["<stack>"] = counts.get("<stack>", 0) + int(offs.size)
+            counts["<stack>"] = int(offs.size)
 
-        merged = self._interleave(arrays)
-        latencies = self._interleave_like(latency_arrays, arrays)
-        if merged.size:
-            times = t0 + (np.arange(merged.size) + 0.5) * (t1 - t0) / (
-                merged.size + 1
-            )
-        else:
-            times = np.zeros(0, dtype=float)
+        if not arrays:
+            empty = np.zeros(0, dtype=float)
+            return np.zeros(0, np.uint64), empty, counts, np.zeros(0, np.int64)
+        order, latencies = streams.merge(counts)
+        merged = np.concatenate(arrays)[order]
+        times = t0 + (np.arange(merged.size) + 0.5) * (t1 - t0) / (
+            merged.size + 1
+        )
         return merged, times, counts, latencies
 
     # ------------------------------------------------------------------
@@ -789,6 +862,7 @@ class SimApplication:
             )
             * CACHE_LINE
         )
+        streams = WindowStreams(self, touch_sets, stack_touch)
         statics = {
             name: region.base for name, region in process.statics.items()
         }
@@ -811,20 +885,15 @@ class SimApplication:
                 live,
                 statics,
                 process.stack_region.base,
-                touch_sets,
-                stack_touch,
+                streams,
             )
             for site, n in counts.items():
                 truth.misses_by_site[site] = (
                     truth.misses_by_site.get(site, 0) + n
                 )
-                latency = (
-                    STACK_LATENCY_CYCLES
-                    if site == "<stack>"
-                    else self.find_object(site).pattern.latency_cycles
-                )
                 truth.latency_by_site[site] = (
-                    truth.latency_by_site.get(site, 0.0) + n * latency
+                    truth.latency_by_site.get(site, 0.0)
+                    + n * streams.latency_cycles[site]
                 )
             truth.total_misses += int(addresses.size)
             truth.windows.append(

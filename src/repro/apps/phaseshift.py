@@ -38,6 +38,7 @@ from repro.apps.base import (
     ObjectSpec,
     PhaseSpec,
     SimApplication,
+    WindowStreams,
 )
 from repro.units import MIB
 
@@ -116,18 +117,10 @@ class PhaseShift(SimApplication):
         live: dict[str, int],
         statics: dict[str, int],
         stack_base: int,
-        touch_sets: dict[str, np.ndarray],
-        stack_touch: np.ndarray,
+        streams: WindowStreams,
     ) -> tuple[np.ndarray, np.ndarray, dict[str, int], np.ndarray]:
         live = dict(live)
         live.pop(self.idle_hot_object(t0), None)
         return super().generate_window_stream(
-            phase,
-            t0,
-            t1,
-            live,
-            statics,
-            stack_base,
-            touch_sets,
-            stack_touch,
+            phase, t0, t1, live, statics, stack_base, streams
         )

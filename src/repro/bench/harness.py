@@ -814,6 +814,60 @@ def _bench_sweep_throughput(
     )
 
 
+def _bench_timeline_replay(
+    report: BenchReport, calls: int, seed: int, repeats: int
+) -> None:
+    """Placed replay (framework step 4) of lulesh's allocation
+    timeline, in allocations per second.
+
+    Each timed run re-executes ``calls`` placed runs of the density
+    report at 128 MiB: auto-hbwmalloc intercepts every allocation with
+    its call context. lulesh churns its scratch arrays every phase, so
+    it makes the most allocations of the Table I apps. The outcome must
+    match the serial sweep's row for the same cell.
+    """
+    from repro.apps.registry import get_app
+    from repro.parallel.sweep import run_sweep
+    from repro.pipeline.experiment import ExperimentGrid
+    from repro.pipeline.framework import HybridMemoryFramework
+
+    app = get_app("lulesh")
+    machine = xeon_phi_7250()
+    budget, strategy = 128 * MIB, "density"
+    framework = HybridMemoryFramework(app, machine, seed=seed)
+    placement = framework.advise(budget, strategy)
+
+    def replay():
+        for _ in range(calls):
+            outcome = framework.run_placed(placement, budget, label=strategy)
+        return outcome
+
+    seconds, outcome = _time(replay, repeats)
+    sweep = run_sweep(
+        [app],
+        machine=machine,
+        grid=ExperimentGrid(budgets=(budget,), strategies=(strategy,)),
+        jobs=1,
+        seed=seed,
+    )
+    (row,) = [
+        r for cell, r in sweep.rows(app.name).items() if cell.kind == "grid"
+    ]
+    if (outcome.fom, outcome.hwm_bytes) != (row.fom, row.hwm_bytes):
+        raise ReproError("placed replay diverged from the serial sweep row")
+    n = outcome.replay.hook.stats.calls_intercepted * calls
+    report.record(
+        BenchRecord(
+            stage="timeline_replay",
+            scenario=f"{app.name}-{strategy}-128M",
+            mode=report.mode,
+            n=n,
+            seconds=seconds,
+            throughput=n / seconds,
+        )
+    )
+
+
 # ---------------------------------------------------------------------------
 # Entry point + regression gate
 # ---------------------------------------------------------------------------
@@ -873,6 +927,7 @@ def run_bench(
     )
     n_misses = 500_000 if quick else 2_000_000
     _bench_profile_analyze(report, n_misses, seed, repeats)
+    _bench_timeline_replay(report, 10 if quick else 40, seed, repeats)
     _bench_sweep_throughput(report, n_misses, seed)
     return report
 

@@ -351,7 +351,8 @@ def experiment_main(argv: list[str] | None = None) -> int:
                         metavar="N",
                         help="grid cells per pool submission (default: "
                         "auto-sized from the grid and -j; 1 whenever "
-                        "--timeout is set)")
+                        "--timeout is set); needs -j > 1 and no "
+                        "--cell-deadline")
 
     def run(args) -> None:
         apps = [get_app(name) for name in args.apps]

@@ -33,6 +33,8 @@ profiling run) per application, while the parent
   (``batch_size``, auto-sized from grid and jobs) so IPC and
   result-collection overhead amortise — journal intents, cache
   answers, retries, deadlines and circuit breakers all stay per-cell.
+  Only the process pool batches: an explicit ``batch_size`` with
+  ``jobs=1`` or a ``cell_deadline`` is rejected at construction.
 
 ``jobs=1`` runs the same scheduler in-process (no pool), so the
 serial and parallel paths share every line of cell-execution code.
@@ -147,6 +149,9 @@ class SweepConfig:
     #: Cells per pool submission. ``None`` auto-sizes from grid and
     #: jobs — and pins the batch to 1 whenever ``timeout_seconds`` is
     #: set, so the per-attempt timeout keeps its per-cell meaning.
+    #: Only the process pool batches, so an explicit value needs
+    #: ``jobs > 1`` and no ``cell_deadline`` (the serial path runs
+    #: cells inline; the supervisor dispatches one cell at a time).
     batch_size: int | None = None
 
     def __post_init__(self) -> None:
@@ -168,8 +173,19 @@ class SweepConfig:
             raise ConfigError("circuit_threshold must be >= 1")
         if self.resume and self.journal_dir is None:
             raise ConfigError("resume requires a journal_dir")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
+        if self.batch_size is not None:
+            if self.batch_size < 1:
+                raise ConfigError("batch_size must be >= 1")
+            if self.jobs == 1:
+                raise ConfigError(
+                    "batch_size needs jobs > 1: the serial sweep runs "
+                    "cells inline and never batches"
+                )
+            if self.cell_deadline is not None:
+                raise ConfigError(
+                    "batch_size cannot be combined with cell_deadline: "
+                    "the worker supervisor dispatches one cell at a time"
+                )
 
 
 @dataclass

@@ -7,7 +7,8 @@ exposes the libc-like surface the paper's components hook:
 
 * applications call :meth:`malloc` / :meth:`free` / :meth:`realloc` /
   :meth:`posix_memalign` while maintaining their call context with
-  :meth:`in_function`;
+  :meth:`in_function` (one frame) or :meth:`in_context` (a whole
+  precomputed context);
 * ``LD_PRELOAD``-style interposition is modelled by
   :meth:`install_malloc_hook` — the hook (tracer-wrapped
   auto-hbwmalloc, the autohbw baseline, ...) sees every allocation
@@ -58,13 +59,8 @@ class AllocObserver(Protocol):
     def on_free(self, alloc: Allocation, clock: float) -> None: ...
 
 
-class _Frame:
-    __slots__ = ("module", "function", "line")
-
-    def __init__(self, module: str, function: str, line: int) -> None:
-        self.module = module
-        self.function = function
-        self.line = line
+#: A call context: ``(module, function, line)`` frames, root first.
+Context = tuple[tuple[str, str, int], ...]
 
 
 class SimProcess:
@@ -103,7 +99,12 @@ class SimProcess:
         self.posix = PosixAllocator(heap_region)
         self.memkind = MemkindAllocator(hbw_region, capacity=hbw_capacity)
 
-        self._frames: list[_Frame] = []
+        #: The current call context and the memoised ``backtrace()`` of
+        #: every context entered so far. Modules are mapped once above
+        #: and never remapped, so a context's raw addresses are fixed
+        #: for the life of the process.
+        self._context: Context = ()
+        self._backtraces: dict[Context, RawCallStack] = {}
         self._hook: MallocHook | None = None
         self._observers: list[AllocObserver] = []
         #: address -> serving allocator (default-path bookkeeping only;
@@ -119,34 +120,53 @@ class SimProcess:
     ) -> Iterator[None]:
         """Enter ``function``; the call site line defaults to the symbol
         start so every inventory does not need explicit lines."""
-        sym = self.symbols.module(module).function(function)
-        self._frames.append(
-            _Frame(module, function, line if line is not None else sym.start_line)
-        )
+        if line is None:
+            line = self.symbols.module(module).function(function).start_line
+        with self.in_context(((module, function, line),)):
+            yield
+
+    @contextmanager
+    def in_context(self, frames: Context) -> Iterator[None]:
+        """Enter a whole call context (``frames``, root first) in one
+        step on top of the current one.
+
+        A context seen for the first time is resolved against the
+        symbol table before it is memoised, so an unknown module,
+        function or line raises :class:`SymbolError` on every entry.
+        """
+        previous = self._context
+        self._enter(previous + frames)
         try:
             yield
         finally:
-            self._frames.pop()
+            self._context = previous
 
     def at_line(self, line: int) -> None:
         """Move the leaf frame to another source line (distinct call site)."""
-        if not self._frames:
+        if not self._context:
             raise AllocationError("no active frame")
-        self._frames[-1].line = line
+        module, function, _ = self._context[-1]
+        self._enter(self._context[:-1] + ((module, function, line),))
+
+    def _enter(self, context: Context) -> None:
+        if context not in self._backtraces:
+            self._backtraces[context] = RawCallStack(
+                addresses=tuple(
+                    self.symbols.address_of(module, function, line)
+                    for module, function, line in reversed(context)
+                )
+            )
+        self._context = context
 
     def backtrace(self) -> RawCallStack:
         """glibc ``backtrace()``: runtime addresses, leaf first."""
-        if not self._frames:
+        if not self._context:
             raise AllocationError("backtrace with an empty call context")
-        addresses = tuple(
-            self.symbols.address_of(f.module, f.function, f.line)
-            for f in reversed(self._frames)
-        )
-        return RawCallStack(addresses=addresses)
+        return self._backtraces[self._context]
 
     @property
     def call_depth(self) -> int:
-        return len(self._frames)
+        return len(self._context)
 
     # -- interposition -----------------------------------------------------
 
@@ -185,6 +205,11 @@ class SimProcess:
 
     def malloc(self, size: int) -> int:
         """The application-facing ``malloc``. Returns the address."""
+        return self.malloc_record(size).address
+
+    def malloc_record(self, size: int) -> Allocation:
+        """``malloc`` returning the whole allocation record, so callers
+        learn the serving allocator without probing the heaps."""
         callstack = self.backtrace()
         if self._hook is not None:
             alloc = self._hook.malloc(size, callstack)
@@ -193,7 +218,7 @@ class SimProcess:
             self._route[alloc.address] = self.posix
         for obs in self._observers:
             obs.on_malloc(alloc, self.clock)
-        return alloc.address
+        return alloc
 
     def free(self, address: int) -> None:
         if self._hook is not None:

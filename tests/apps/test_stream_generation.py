@@ -2,9 +2,29 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.apps.base import STACK_LATENCY_CYCLES, AccessPattern
+from repro.apps.base import (
+    INTERLEAVE_CHUNKS,
+    STACK_LATENCY_CYCLES,
+    AccessPattern,
+    WindowStreams,
+    round_robin_order,
+)
 from repro.units import CACHE_LINE
+
+
+def _array_split_round_robin(arrays, dtype, chunks=INTERLEAVE_CHUNKS):
+    """Reference merge: cut every non-empty array with
+    ``np.array_split`` and take the pieces chunk by chunk."""
+    arrays = [a for a in arrays if a.size]
+    if not arrays:
+        return np.zeros(0, dtype=dtype)
+    splits = [np.array_split(a, chunks) for a in arrays]
+    return np.concatenate(
+        [split[c] for c in range(chunks) for split in splits]
+    )
 
 
 class TestTouchOffsets:
@@ -118,3 +138,60 @@ class TestPatternDefaults:
         assert AccessPattern(
             "random", mean_latency_cycles=99
         ).latency_cycles == 99
+
+
+class TestRoundRobinOrder:
+    @given(
+        sizes=st.lists(
+            st.one_of(
+                st.integers(0, INTERLEAVE_CHUNKS),  # zeros, below chunks
+                st.integers(0, 400),
+            ),
+            max_size=7,
+        ),
+        dtype=st.sampled_from([np.uint64, np.int64]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_gather_equals_array_split(self, sizes, dtype):
+        """Address (uint64) and latency (int64) columns merge alike."""
+        rng = np.random.default_rng(len(sizes))
+        arrays = [
+            rng.integers(0, 2**40, size=n).astype(dtype) for n in sizes
+        ]
+        expected = _array_split_round_robin(arrays, dtype)
+        order = round_robin_order(tuple(sizes))
+        got = (
+            np.concatenate(arrays)[order]
+            if arrays
+            else np.zeros(0, dtype=dtype)
+        )
+        assert got.dtype == expected.dtype
+        np.testing.assert_array_equal(got, expected)
+
+    def test_is_a_permutation(self):
+        order = round_robin_order((5, 0, 17, 3))
+        np.testing.assert_array_equal(np.sort(order), np.arange(25))
+
+
+class TestWindowStreams:
+    def test_merge_memoised_read_only_and_exact(self, tiny_app):
+        """Windows of one composition share one gather index and one
+        merged latency column; the column equals the array_split merge
+        of the per-site latency runs and cannot be written."""
+        streams = WindowStreams(
+            tiny_app, touch_sets={}, stack_touch=np.zeros(1, np.int64)
+        )
+        counts = {o.name: 11 + i for i, o in enumerate(tiny_app.objects)}
+        counts["<stack>"] = 3
+        order, latencies = streams.merge(counts)
+        again = streams.merge(dict(counts))
+        assert again[0] is order and again[1] is latencies
+        assert not latencies.flags.writeable
+        expected = _array_split_round_robin(
+            [
+                np.full(n, streams.latency_cycles[site], np.int64)
+                for site, n in counts.items()
+            ],
+            np.int64,
+        )
+        np.testing.assert_array_equal(latencies, expected)

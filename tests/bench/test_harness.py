@@ -291,3 +291,59 @@ class TestCommittedBaseline:
             ("sweep_throughput", "pool-jobs4", "quick"),
         ):
             assert key in quick_keys, key
+
+    def test_bench_pr14_meets_acceptance(self):
+        """The committed trajectory records the placed lulesh replay in
+        both modes (the CI gate's quick key included), every timed call
+        replaying the same allocations."""
+        report = self._load("BENCH_PR14.json")
+        by_key = {r.key: r for r in report.records}
+        for mode in ("full", "quick"):
+            rec = by_key[("timeline_replay", "lulesh-density-128M", mode)]
+            assert rec.n % LULESH_ALLOCATIONS_PER_REPLAY == 0
+            assert rec.throughput > 0
+        quick_keys = {r.key for r in report.records if r.mode == "quick"}
+        for key in (
+            ("pebs_sampler", "uniform", "quick"),
+            ("profile_analyze", "benchsweep", "quick"),
+            ("cluster_schedule", "fleet-4x320M-n800", "quick"),
+        ):
+            assert key in quick_keys, key
+
+
+#: Allocations one placed lulesh run makes (init plus per-phase churn).
+LULESH_ALLOCATIONS_PER_REPLAY = 447
+
+
+class TestTimelineReplayStage:
+    def test_records_allocations_of_each_call(self):
+        from repro.bench.harness import _bench_timeline_replay
+
+        report = BenchReport(mode="quick")
+        _bench_timeline_replay(report, calls=2, seed=0, repeats=1)
+        (rec,) = report.records
+        assert rec.key == ("timeline_replay", "lulesh-density-128M", "quick")
+        assert rec.n == 2 * LULESH_ALLOCATIONS_PER_REPLAY
+        assert rec.throughput == rec.n / rec.seconds
+
+    def test_divergence_from_the_sweep_row_fails(self, monkeypatch):
+        import dataclasses
+
+        import repro.parallel.sweep
+        from repro.bench.harness import _bench_timeline_replay
+
+        run_sweep = repro.parallel.sweep.run_sweep
+
+        def skewed(*args, **kwargs):
+            result = run_sweep(*args, **kwargs)
+            for outcome in result.outcomes:
+                outcome.row = dataclasses.replace(
+                    outcome.row, hwm_bytes=outcome.row.hwm_bytes + 1
+                )
+            return result
+
+        monkeypatch.setattr(repro.parallel.sweep, "run_sweep", skewed)
+        with pytest.raises(ReproError, match="diverged from the serial sweep"):
+            _bench_timeline_replay(
+                BenchReport(mode="quick"), calls=1, seed=0, repeats=1
+            )

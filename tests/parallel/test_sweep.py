@@ -821,6 +821,23 @@ class TestBatchedDispatch:
     def test_rejects_bad_batch_size(self, kwargs):
         with pytest.raises(ConfigError):
             SweepConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, reason",
+        [
+            (dict(jobs=1, batch_size=2), "needs jobs > 1"),
+            (dict(jobs=2, cell_deadline=5.0, batch_size=2), "cell_deadline"),
+        ],
+    )
+    def test_rejects_batch_size_no_path_honours(self, kwargs, reason):
+        """Neither the serial path nor the supervisor batches, so an
+        explicit batch size there would be accepted and ignored."""
+        with pytest.raises(ConfigError, match=reason):
+            SweepConfig(**kwargs)
+        with pytest.raises(ConfigError, match=reason):
+            run_sweep([TinyApp()], grid=SMALL_GRID, seed=0, **kwargs)
+
+
 class TestBatchSizing:
     def test_explicit_batch_size_wins(self):
         executor = SweepExecutor(config=SweepConfig(jobs=4, batch_size=7))

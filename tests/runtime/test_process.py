@@ -1,8 +1,12 @@
 """SimProcess: the libc-like surface everything hooks."""
 
-import pytest
+from contextlib import ExitStack
 
-from repro.errors import AllocationError, InvalidFreeError
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.errors import AllocationError, InvalidFreeError, SymbolError
 from repro.runtime.allocator import Allocation
 from repro.runtime.callstack import RawCallStack
 from repro.runtime.process import SimProcess
@@ -58,6 +62,96 @@ class TestCallContext:
         with process.in_function("app", "main"):
             assert process.call_depth == 1
         assert process.call_depth == 0
+
+
+def _address_of_each_frame(process, frames):
+    """Reference backtrace: one ``address_of`` per frame, leaf first."""
+    return tuple(
+        process.symbols.address_of("app", fn, line)
+        for fn, line in reversed(frames)
+    )
+
+
+_FRAMES = st.lists(
+    st.tuples(st.sampled_from(["main", "setup", "kernel"]), st.integers(1, 64)),
+    min_size=1,
+    max_size=6,
+)
+
+
+class TestMemoisedBacktrace:
+    @given(
+        frames=_FRAMES,
+        split=st.integers(0, 6),
+        moves=st.lists(st.integers(1, 64), max_size=3),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_address_of_per_frame(self, frames, split, moves):
+        """Nested ``in_function`` frames, then the rest as one
+        whole-context entry, then ``at_line`` moves: every backtrace
+        equals the per-frame translation, and leaving restores the
+        enclosing context."""
+        process = SimProcess(modules=_modules(), seed=3, heap_size=64 * MIB)
+        head, tail = frames[:split], frames[split:]
+        shadow = []
+        with ExitStack() as stack:
+            for fn, line in head:
+                stack.enter_context(process.in_function("app", fn, line))
+                shadow.append((fn, line))
+                assert process.backtrace().addresses == (
+                    _address_of_each_frame(process, shadow)
+                )
+            outer = list(shadow)
+            if tail:
+                with process.in_context(
+                    tuple(("app", fn, line) for fn, line in tail)
+                ):
+                    shadow += tail
+                    assert process.backtrace().addresses == (
+                        _address_of_each_frame(process, shadow)
+                    )
+                    for line in moves:
+                        process.at_line(line)
+                        shadow[-1] = (shadow[-1][0], line)
+                        assert process.backtrace().addresses == (
+                            _address_of_each_frame(process, shadow)
+                        )
+                    assert process.call_depth == len(frames)
+                if outer:
+                    assert process.backtrace().addresses == (
+                        _address_of_each_frame(process, outer)
+                    )
+        assert process.call_depth == 0
+
+    def test_same_context_same_stack_object(self, process):
+        context = (("app", "main", 1), ("app", "setup", 5))
+        with process.in_context(context):
+            first = process.backtrace()
+        with process.in_function("app", "main", 1):
+            with process.in_function("app", "setup", 5):
+                assert process.backtrace() is first
+
+    def test_unknown_function_raises_on_every_entry(self, process):
+        for _ in range(3):
+            with pytest.raises(SymbolError):
+                with process.in_function("app", "nope", 1):
+                    pass
+            with pytest.raises(SymbolError):
+                with process.in_context(
+                    (("app", "main", 1), ("app", "nope", 1))
+                ):
+                    pass
+            with pytest.raises(SymbolError):
+                with process.in_function("libnope", "main", 1):
+                    pass
+            assert process.call_depth == 0
+
+    def test_bad_line_leaves_context_unchanged(self, process):
+        with process.in_function("app", "main", 1):
+            before = process.backtrace()
+            with pytest.raises(SymbolError):
+                process.at_line(10_000)
+            assert process.backtrace() is before
 
 
 class TestAllocationSurface:

@@ -118,6 +118,12 @@ class TestShellFlow:
         assert experiment_main(["cgpop", "--jobs", "0"]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_experiment_rejects_serial_batch_size(self, capsys):
+        assert experiment_main(["cgpop", "-j", "1", "--batch-size", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "batch_size needs jobs > 1" in err
+
     def test_unknown_app_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             profile_main(["hpl", "-o", str(tmp_path / "x")])
